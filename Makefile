@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-check vet lint check fuzz-smoke experiments tools clean
+.PHONY: all build test race bench bench-check bench-selftest vet lint check fuzz-smoke experiments tools clean
 
 # Per-target budget for the fuzz smoke pass (see fuzz-smoke).
 FUZZTIME ?= 30s
@@ -34,8 +34,14 @@ vet:
 lint: vet
 	$(GO) run ./cmd/ldp-vet -dir . -stale -time
 
+# bench/ (the BENCHMARK.json harness) is a module of its own, outside
+# `go build ./...` and `go test ./...`: vet and test it against this
+# tree so an internal/* API change cannot break the benchmark unseen.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything CI runs, in one target.
-check: build vet lint test race
+check: build vet lint test race bench-selftest
 
 # Short fuzz pass over the wire-format decoders (plus the differential
 # pooled-vs-reference decode target); CI runs this on every push. Crash
@@ -66,7 +72,8 @@ bench:
 # the pooled codec and answer cache keep allocation-free, plus the
 # netsim cluster engine whose per-query scheduling must stay
 # allocation-free. The second -speedup gates the batched replay engine
-# against its per-item reference plane on the in-process fabric pair
+# against its per-item reference plane (test-only: reference_test.go) on
+# the in-process fabric pair
 # (same run, same fabric — hardware cancels out; see bench_test.go for
 # why the loopback variants are reported but not gated).
 bench-check:

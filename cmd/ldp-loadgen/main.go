@@ -3,10 +3,14 @@
 // client side of the paper's throughput experiments (Figs 9, 13),
 // pointed at ldp-server (or any authoritative server).
 //
-// Closed-loop (default) measures the server's service rate: each of
-// -conc workers keeps one query outstanding. Open-loop (-qps) sends at
-// a fixed aggregate rate whether or not responses return — the paper's
-// replay discipline.
+// It is a front end over the replay engine (internal/replay): the
+// queries become a cyclic replay.Source and the engine sends them, so
+// the counters and histograms are the replay.* series every other tool
+// reports. Closed loop (default) measures the server's service rate:
+// -conc queries are kept outstanding through the FastAsPossible plane.
+// Open loop (-qps) replays a fixed-rate schedule over -conc source
+// sockets whether or not responses return — the paper's replay
+// discipline — and times each query from its intended send.
 //
 // Usage:
 //
@@ -27,11 +31,13 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"ldplayer/internal/dnsmsg"
-	"ldplayer/internal/loadgen"
+	"ldplayer/internal/metrics"
 	"ldplayer/internal/obs"
+	"ldplayer/internal/replay"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/workload"
 )
@@ -57,7 +63,7 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.target, "target", "127.0.0.1:5300", "server UDP address")
 	flag.Float64Var(&opts.qps, "qps", 0, "open-loop aggregate send rate (0 = closed loop)")
-	flag.IntVar(&opts.conc, "conc", runtime.GOMAXPROCS(0), "concurrent workers, one socket each")
+	flag.IntVar(&opts.conc, "conc", runtime.GOMAXPROCS(0), "query sources: sockets with -qps, queries kept outstanding without")
 	flag.DurationVar(&opts.duration, "duration", 0, "stop after this long (0 = until -count)")
 	flag.IntVar(&opts.count, "count", 0, "stop after this many queries (0 = until -duration)")
 	flag.DurationVar(&opts.timeout, "timeout", 2*time.Second, "per-query response timeout")
@@ -99,64 +105,84 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		return err
 	}
 
-	rep, err := loadgen.Run(ctx, loadgen.Config{
-		Target:      target,
-		QPS:         opts.qps,
-		Concurrency: opts.conc,
-		Duration:    opts.duration,
-		Total:       opts.count,
-		Timeout:     opts.timeout,
-		Queries:     queries,
-		Obs:         opts.reg,
-	})
+	cfg := replay.Config{
+		Server:                 target,
+		QueriersPerDistributor: min(opts.conc, runtime.GOMAXPROCS(0)),
+		ResponseTimeout:        opts.timeout,
+		Obs:                    opts.reg,
+	}
+	src := replay.NewRateSource(queries, opts.conc, opts.qps, opts.count, opts.duration)
+	if opts.qps <= 0 {
+		cfg.Mode, cfg.DropResults = replay.FastAsPossible, true
+		src = replay.NewWindowSource(queries, opts.conc, opts.reg, opts.timeout, opts.count, opts.duration)
+	}
+	eng, err := replay.New(cfg)
 	if err != nil {
 		return err
 	}
+	start := time.Now()
+	rep, err := eng.Run(ctx, src)
+	if err != nil {
+		return err
+	}
+	// Load time is first send to last: the drain's wait for replies
+	// that never came would only dilute the rate.
+	elapsed := rep.Duration
+	if elapsed <= 0 {
+		elapsed = time.Since(start)
+	}
+	qps := float64(rep.Responses) / elapsed.Seconds()
+
+	// Closed loop has no schedule: the engine's RTT histogram (this
+	// registry serves one run) is the latency. Open loop counts from
+	// the intended send: the schedule lag added to each wire RTT.
+	quantile := opts.reg.Histogram("replay.rtt_seconds", obs.LatencyBuckets).Snap().Quantile
+	if opts.qps > 0 {
+		var lat []float64
+		for _, r := range rep.Results {
+			if r.RTT >= 0 {
+				lat = append(lat, (r.SentOffset - r.TraceOffset + r.RTT).Seconds())
+			}
+		}
+		slices.Sort(lat)
+		if len(lat) == 0 {
+			lat = []float64{0} // nothing answered reads 0, as the histogram does
+		}
+		quantile = func(q float64) float64 { return metrics.Percentile(lat, q) }
+	}
 
 	//ldp:nolint errcheck — human report; a failed stdout write loses nothing measured
-	fmt.Fprintf(out, "sent %d, received %d, timeouts %d in %v\n",
-		rep.Sent, rep.Received, rep.Timeouts, rep.Elapsed.Round(time.Millisecond))
-	//ldp:nolint errcheck — human report; a failed stdout write loses nothing measured
-	fmt.Fprintf(out, "throughput: %.0f qps (%.0f qps/core over %d cores)\n",
-		rep.QPS, rep.QPSPerCore, runtime.GOMAXPROCS(0))
-	//ldp:nolint errcheck — human report; a failed stdout write loses nothing measured
-	fmt.Fprintf(out, "latency: p50 %s  p90 %s  p99 %s\n",
-		fmtSecs(rep.Latency.Quantile(0.50)),
-		fmtSecs(rep.Latency.Quantile(0.90)),
-		fmtSecs(rep.Latency.Quantile(0.99)))
+	fmt.Fprintf(out, "sent %d, received %d, timeouts %d in %v\n"+
+		"throughput: %.0f qps (%.0f qps/core over %d cores)\n"+
+		"latency: p50 %s  p90 %s  p99 %s\n",
+		rep.Sent, rep.Responses, rep.Timeouts, elapsed.Round(time.Millisecond),
+		qps, qps/float64(runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0),
+		fmtSecs(quantile(0.50)), fmtSecs(quantile(0.90)), fmtSecs(quantile(0.99)))
 	return nil
 }
 
-// buildQueries assembles the query wires from a trace file or one of
+// buildQueries assembles the UDP query wires of a trace file or one of
 // the workload models. The set is bounded — queries cycle during long
 // runs — so model durations here size variety, not run length.
 func buildQueries(opts options) ([][]byte, error) {
-	if opts.trace != "" {
+	var tr *trace.Trace
+	from := fmt.Sprintf("workload %q", opts.workload)
+	switch {
+	case opts.trace != "":
+		from = opts.trace
 		f, err := os.Open(opts.trace)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		var rd trace.Reader
+		var rd trace.Reader = trace.NewBinaryReader(f)
 		if filepath.Ext(opts.trace) == ".txt" {
 			rd = trace.NewTextReader(f)
-		} else {
-			rd = trace.NewBinaryReader(f)
 		}
-		tr, err := trace.ReadAll(rd)
-		if err != nil {
+		if tr, err = trace.ReadAll(rd); err != nil {
 			return nil, fmt.Errorf("read %s: %w", opts.trace, err)
 		}
-		qs := loadgen.QueryWires(tr)
-		if len(qs) == 0 {
-			return nil, fmt.Errorf("%s: no UDP queries in trace", opts.trace)
-		}
-		return qs, nil
-	}
-
-	var tr *trace.Trace
-	switch opts.workload {
-	case "syn":
+	case opts.workload == "syn":
 		domain, err := dnsmsg.ParseName(opts.domain)
 		if err != nil {
 			return nil, fmt.Errorf("-domain: %w", err)
@@ -166,23 +192,21 @@ func buildQueries(opts options) ([][]byte, error) {
 			Duration:     10 * time.Second, // 10k distinct names to cycle
 			Domain:       domain,
 		})
-	case "broot":
-		tr = workload.BRootModel(workload.BRootConfig{
-			Duration:   10 * time.Second,
-			MedianRate: 1000,
-			Clients:    1000,
-		})
-	case "rec":
-		tr = workload.RecModel(workload.RecConfig{
-			Duration: 10 * time.Second,
-			Queries:  10000,
-		})
+	case opts.workload == "broot":
+		tr = workload.BRootModel(workload.BRootConfig{Duration: 10 * time.Second, MedianRate: 1000, Clients: 1000})
+	case opts.workload == "rec":
+		tr = workload.RecModel(workload.RecConfig{Duration: 10 * time.Second, Queries: 10000})
 	default:
 		return nil, fmt.Errorf("unknown -workload %q (want syn, broot or rec)", opts.workload)
 	}
-	qs := loadgen.QueryWires(tr)
+	var qs [][]byte
+	for _, e := range tr.Events {
+		if e.Proto == trace.UDP && e.IsQuery() && len(e.Wire) >= 12 {
+			qs = append(qs, e.Wire)
+		}
+	}
 	if len(qs) == 0 {
-		return nil, fmt.Errorf("workload %q generated no UDP queries", opts.workload)
+		return nil, fmt.Errorf("%s: no UDP queries", from)
 	}
 	return qs, nil
 }

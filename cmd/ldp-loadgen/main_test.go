@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"testing"
 	"time"
 
@@ -61,38 +60,79 @@ func startServer(t *testing.T) string {
 
 var reportRe = regexp.MustCompile(`sent (\d+), received (\d+), timeouts (\d+)`)
 
-// TestLoadgenE2E: closed-loop against a live sharded server; everything
-// sent must come back answered.
+// TestLoadgenE2E: closed loop and open loop against a live sharded
+// server; everything sent must come back answered, and the run is
+// accounted under the replay engine's series.
 func TestLoadgenE2E(t *testing.T) {
 	addr := startServer(t)
-	var out bytes.Buffer
-	err := run(context.Background(), options{
-		target:   addr,
-		conc:     2,
-		count:    100,
-		timeout:  5 * time.Second,
-		workload: "syn",
-		domain:   "example.com.",
-		reg:      obs.NewRegistry(),
-	}, &out)
+	for _, qps := range []float64{0, 1000} {
+		var out bytes.Buffer
+		reg := obs.NewRegistry()
+		start := time.Now()
+		err := run(context.Background(), options{
+			target:   addr,
+			qps:      qps,
+			conc:     2,
+			count:    100,
+			timeout:  5 * time.Second,
+			workload: "syn",
+			domain:   "example.com.",
+			reg:      reg,
+		}, &out)
+		if err != nil {
+			t.Fatalf("qps=%v: run: %v\n%s", qps, err, out.String())
+		}
+		m := reportRe.FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("qps=%v: report line missing:\n%s", qps, out.String())
+		}
+		if m[1] != "100" || m[2] != "100" {
+			t.Fatalf("qps=%v: want 100 sent and received:\n%s", qps, out.String())
+		}
+		for _, want := range []string{"qps/core", "p50", "p99"} {
+			if !bytes.Contains(out.Bytes(), []byte(want)) {
+				t.Fatalf("qps=%v: report missing %q:\n%s", qps, want, out.String())
+			}
+		}
+		snap := reg.Snapshot()
+		if snap.Counters["replay.sent"] != 100 || snap.Counters["replay.responses"] != 100 ||
+			snap.Histograms["replay.rtt_seconds"].Count != 100 {
+			t.Fatalf("qps=%v: registry has sent=%d responses=%d rtt samples=%d, want 100 each", qps,
+				snap.Counters["replay.sent"], snap.Counters["replay.responses"], snap.Histograms["replay.rtt_seconds"].Count)
+		}
+		// 100 queries at 1000 q/s are 99 ms of schedule: catch an open
+		// loop that ignores its pacing.
+		if took := time.Since(start); qps > 0 && took < 90*time.Millisecond {
+			t.Fatalf("qps=%v: finished in %v; pacing not applied", qps, took)
+		}
+	}
+}
+
+// TestLoadgenTimeoutsCounted: a socket nothing answers. Every query is
+// sent, none is answered, each is a timeout — and the closed loop's
+// window is released rather than hanging on the first unanswered query.
+func TestLoadgenTimeoutsCounted(t *testing.T) {
+	dead, _, err := transport.ListenUDP("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+		t.Fatal(err)
 	}
-	m := reportRe.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("report line missing:\n%s", out.String())
-	}
-	sent, _ := strconv.Atoi(m[1])
-	received, _ := strconv.Atoi(m[2])
-	if sent != 100 {
-		t.Fatalf("sent = %d, want 100:\n%s", sent, out.String())
-	}
-	if received != sent {
-		t.Fatalf("answered %d of %d:\n%s", received, sent, out.String())
-	}
-	for _, want := range []string{"qps/core", "p50", "p99"} {
-		if !bytes.Contains(out.Bytes(), []byte(want)) {
-			t.Fatalf("report missing %q:\n%s", want, out.String())
+	defer dead.Close()
+	for _, qps := range []float64{0, 1000} {
+		var out bytes.Buffer
+		err := run(context.Background(), options{
+			target:   transport.AddrPortOf(dead.LocalAddr()).String(),
+			qps:      qps,
+			conc:     1,
+			count:    3,
+			timeout:  50 * time.Millisecond,
+			workload: "syn",
+			domain:   "example.com.",
+		}, &out)
+		if err != nil {
+			t.Fatalf("qps=%v: run: %v\n%s", qps, err, out.String())
+		}
+		if m := reportRe.FindStringSubmatch(out.String()); m == nil || m[1] != "3" || m[2] != "0" || m[3] != "3" {
+			t.Fatalf("qps=%v: want sent 3, received 0, timeouts 3:\n%s", qps, out.String())
 		}
 	}
 }

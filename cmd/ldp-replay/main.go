@@ -45,9 +45,7 @@ func main() {
 	queriers := flag.Int("queriers", 4, "querier processes per distributor")
 	fast := flag.Bool("fast", false, "replay as fast as possible (ignore trace timing)")
 	batch := flag.Int("batch", 0, "queries per distribution-tree batch (0 = default 32)")
-	pacing := flag.Duration("pacing", 0, "timer-wheel granularity for timed replay (0 = default 250µs)")
 	dropResults := flag.Bool("drop-results", false, "skip per-query result records (counters only; saves memory at high qps)")
-	reference := flag.Bool("reference", false, "use the per-item reference data plane instead of the batched one (A/B)")
 	connTimeout := flag.Duration("conn-timeout", 20*time.Second, "TCP/TLS connection reuse timeout")
 	forceProto := flag.String("force-protocol", "", "mutate all queries to udp|tcp|tls")
 	doFrac := flag.Float64("do", -1, "mutate the DNSSEC-OK fraction (0..1; -1 keeps original)")
@@ -76,9 +74,7 @@ func main() {
 	opts := engineOpts{
 		fast:        *fast,
 		batch:       *batch,
-		pacing:      *pacing,
 		dropResults: *dropResults,
-		reference:   *reference,
 		connTimeout: *connTimeout,
 		tlsInsecure: *tlsInsecure,
 	}
@@ -99,9 +95,7 @@ func main() {
 type engineOpts struct {
 	fast        bool
 	batch       int
-	pacing      time.Duration
 	dropResults bool
-	reference   bool
 	connTimeout time.Duration
 	tlsInsecure bool
 }
@@ -157,9 +151,7 @@ func engineConfig(target string, distributors, queriers int, o engineOpts) repla
 		QueriersPerDistributor: queriers,
 		ConnIdleTimeout:        o.connTimeout,
 		BatchSize:              o.batch,
-		PacingGranularity:      o.pacing,
 		DropResults:            o.dropResults,
-		Reference:              o.reference,
 		Obs:                    obs.Default,
 	}
 	if o.fast {

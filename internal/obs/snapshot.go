@@ -66,8 +66,8 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // Snap freezes one histogram's current state — the single-instrument
-// form of Registry.Snapshot, for callers (loadgen) that difference one
-// histogram across a run without scraping the whole registry.
+// form of Registry.Snapshot, for callers that want one histogram
+// without scraping the whole registry.
 func (h *Histogram) Snap() HistogramSnapshot {
 	hs := HistogramSnapshot{
 		Count:  h.Count(),

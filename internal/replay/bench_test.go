@@ -128,15 +128,11 @@ func benchEvents(tb testing.TB, sources, count int) []*trace.Event {
 }
 
 // benchReplay runs one full replay over b.N events and reports qps.
-func benchReplay(b *testing.B, cfg Config) {
+func benchReplay(b *testing.B, cfg Config, reference bool) {
 	events := benchEvents(b, 4, 1024)
-	eng, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep, err := eng.Run(context.Background(), &cycleSource{events: events, total: b.N})
+	rep, err := runPlane(context.Background(), cfg, &cycleSource{events: events, total: b.N}, reference)
 	b.StopTimer()
 	if err != nil {
 		b.Fatal(err)
@@ -147,7 +143,7 @@ func benchReplay(b *testing.B, cfg Config) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 }
 
-func fastConfig(server netip.AddrPort, dialer transport.Dialer, reference bool) Config {
+func fastConfig(server netip.AddrPort, dialer transport.Dialer) Config {
 	return Config{
 		Server:                 server,
 		Mode:                   FastAsPossible,
@@ -156,7 +152,6 @@ func fastConfig(server netip.AddrPort, dialer transport.Dialer, reference bool) 
 		QueriersPerDistributor: 2,
 		ResponseTimeout:        100 * time.Millisecond,
 		Dialer:                 dialer,
-		Reference:              reference,
 	}
 }
 
@@ -168,14 +163,14 @@ var fabricServer = netip.MustParseAddrPort("192.0.2.53:53")
 // batched socket hand-off, lock-free ID-slot response matching — over
 // the kernel-free echo fabric.
 func BenchmarkReplayFastUDP(b *testing.B) {
-	benchReplay(b, fastConfig(fabricServer, echoFabric{}, false))
+	benchReplay(b, fastConfig(fabricServer, echoFabric{}), false)
 }
 
 // BenchmarkReplayFastUDPReference: the per-item plane the batched one
 // replaced, over the same fabric; the speedup gate divides the two qps
 // figures.
 func BenchmarkReplayFastUDPReference(b *testing.B) {
-	benchReplay(b, fastConfig(fabricServer, echoFabric{}, true))
+	benchReplay(b, fastConfig(fabricServer, echoFabric{}), true)
 }
 
 // BenchmarkReplayFastUDPLoopback: the batched plane over real sockets
@@ -183,7 +178,7 @@ func BenchmarkReplayFastUDPReference(b *testing.B) {
 func BenchmarkReplayFastUDPLoopback(b *testing.B) {
 	ap, stop := startEchoSink(b)
 	defer stop()
-	benchReplay(b, fastConfig(ap, nil, false))
+	benchReplay(b, fastConfig(ap, nil), false)
 }
 
 // BenchmarkReplayFastUDPLoopbackReference: the per-item plane over the
@@ -191,7 +186,7 @@ func BenchmarkReplayFastUDPLoopback(b *testing.B) {
 func BenchmarkReplayFastUDPLoopbackReference(b *testing.B) {
 	ap, stop := startEchoSink(b)
 	defer stop()
-	benchReplay(b, fastConfig(ap, nil, true))
+	benchReplay(b, fastConfig(ap, nil), true)
 }
 
 // BenchmarkReplayTimed drives the Timed plane (wheel pacing, per-source
@@ -208,5 +203,5 @@ func BenchmarkReplayTimed(b *testing.B) {
 		Distributors:           1,
 		QueriersPerDistributor: 2,
 		ResponseTimeout:        250 * time.Millisecond,
-	})
+	}, false)
 }

@@ -46,18 +46,13 @@ func TestBatchedMatchesReference(t *testing.T) {
 
 	run := func(reference bool) *Report {
 		t.Helper()
-		eng, err := New(Config{
+		rep, err := runPlane(context.Background(), Config{
 			Server:                 ap,
 			Distributors:           2,
 			QueriersPerDistributor: 2,
 			ConnIdleTimeout:        2 * time.Second,
-			Reference:              reference,
 			BatchSize:              4, // small batches: boundaries land mid-trace
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := eng.Run(context.Background(), &sliceReader{events: mkEvents()})
+		}, &sliceReader{events: mkEvents()}, reference)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,7 @@ import (
 // The same pipeline shape runs across machines via the protocol in
 // remote.go; in-process channels stand in for the TCP links. Queries
 // move through the tree in pooled batches (one channel operation per
-// ~BatchSize queries); Config.Reference selects the historical per-item
-// plane for A/B comparison.
+// ~BatchSize queries).
 type Engine struct {
 	cfg Config
 }
@@ -36,6 +35,13 @@ func New(cfg Config) (*Engine, error) {
 // Run replays the input stream and blocks until every query is sent and
 // responses have drained (or ctx ends early).
 func (e *Engine) Run(ctx context.Context, input trace.Reader) (*Report, error) {
+	return e.run(ctx, input, runBatched)
+}
+
+// run is Run over a given data plane: reference_test.go's per-item
+// plane reports through the same code as runBatched.
+func (e *Engine) run(ctx context.Context, input trace.Reader,
+	plane func(context.Context, Config, *stats, trace.Reader) ([]queryReport, error)) (*Report, error) {
 	cfg := e.cfg
 
 	// Live instruments: shared by every querier, readable mid-run from
@@ -49,13 +55,7 @@ func (e *Engine) Run(ctx context.Context, input trace.Reader) (*Report, error) {
 	st := newStats(reg)
 	base := statValues(st)
 
-	var reports []queryReport
-	var readErr error
-	if cfg.Reference {
-		reports, readErr = runReference(ctx, cfg, st, input)
-	} else {
-		reports, readErr = runBatched(ctx, cfg, st, input)
-	}
+	reports, readErr := plane(ctx, cfg, st, input)
 	if readErr != nil && !errors.Is(readErr, context.Canceled) {
 		return nil, fmt.Errorf("replay: input: %w", readErr)
 	}

@@ -23,7 +23,12 @@ import (
 //
 // Everything is pooled: the fabric adds zero steady-state allocations
 // to either plane.
-type echoFabric struct{}
+type echoFabric struct {
+	// refuse makes each packet socket refuse its first refuse datagrams
+	// the way a kernel refuses one inside sendmmsg: WriteBatch counts
+	// them out of its result and nothing is delivered.
+	refuse int
+}
 
 // Dial implements transport.Dialer for the reference plane: a
 // per-source connected endpoint that echoes each Send into its own
@@ -42,8 +47,8 @@ func (echoFabric) Dial(_ context.Context, proto transport.Proto, _ netip.AddrPor
 // ListenPacketConn implements transport.PacketDialer for the batched
 // plane: an unconnected socket whose native batch path moves one
 // response batch per hand-off.
-func (echoFabric) ListenPacketConn() (net.PacketConn, error) {
-	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{})}, nil
+func (f echoFabric) ListenPacketConn() (net.PacketConn, error) {
+	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{}), refuse: f.refuse}, nil
 }
 
 type echoBuf struct {
@@ -144,6 +149,7 @@ type echoPacketConn struct {
 	ch        chan echoBatch
 	done      chan struct{}
 	closeOnce sync.Once
+	refuse    int // datagrams still to refuse; writer goroutine only
 }
 
 // WriteBatch reflects every datagram into one queued response batch —
@@ -154,10 +160,12 @@ func (c *echoPacketConn) WriteBatch(ms []transport.Datagram) (int, error) {
 		return 0, transport.ErrClosed
 	default:
 	}
+	refused := min(c.refuse, len(ms))
+	c.refuse -= refused
 	out := transport.GetBatch()
 	ob := *out
 	n := 0
-	for i := range ms {
+	for i := refused; i < len(ms); i++ {
 		if n == len(ob) {
 			break
 		}
@@ -174,7 +182,7 @@ func (c *echoPacketConn) WriteBatch(ms []transport.Datagram) (int, error) {
 	// query gets its response, so the drain at run end is immediate.
 	select {
 	case c.ch <- echoBatch{b: out, n: n}:
-		return len(ms), nil
+		return len(ms) - refused, nil
 	case <-c.done:
 		transport.PutBatch(out)
 		return 0, transport.ErrClosed

@@ -156,3 +156,26 @@ func TestReplayCancelledContext(t *testing.T) {
 		t.Error("cancelled replay sent the whole trace")
 	}
 }
+
+// TestFastUDPRefusedDatagrams: datagrams the socket refuses inside a
+// batch write are send errors and nothing else — each is settled once
+// (not again as a timeout when its slot is swept) and drain does not
+// sit out ResponseTimeout waiting for replies that cannot come.
+func TestFastUDPRefusedDatagrams(t *testing.T) {
+	const n, k = 200, 7
+	cfg := fastConfig(fabricServer, echoFabric{refuse: k})
+	cfg.QueriersPerDistributor = 1 // one socket, so exactly k refusals
+	cfg.ResponseTimeout = 5 * time.Second
+	start := time.Now()
+	rep, err := runPlane(context.Background(), cfg, &cycleSource{events: benchEvents(t, 4, 64), total: n}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > cfg.ResponseTimeout/2 {
+		t.Errorf("run took %v: drain waited on refused datagrams", took)
+	}
+	if rep.SendErrs != k || rep.Timeouts != 0 || rep.Sent+rep.SendErrs != n || rep.Responses != rep.Sent {
+		t.Errorf("sent=%d sendErrs=%d responses=%d timeouts=%d; want %d/%d/%d/0",
+			rep.Sent, rep.SendErrs, rep.Responses, rep.Timeouts, n-k, k, n-k)
+	}
+}

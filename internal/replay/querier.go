@@ -100,7 +100,7 @@ func (q *querier) run(ctx context.Context) {
 // naive ablation keeps its historical shape — a raw gap sleep per query,
 // no bucketing — so the drift it exists to demonstrate is untouched.
 func (q *querier) runTimed(ctx context.Context) {
-	w := newWheel(q.cfg.PacingGranularity)
+	w := newWheel(pacingGranularity)
 	defer w.stop()
 	for b := range q.in {
 		for i := range b.items {

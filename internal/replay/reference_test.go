@@ -15,11 +15,24 @@ import (
 // The reference data plane: the engine exactly as it was before the
 // batched rebuild — one channel operation per query, one time.NewTimer
 // per Timed wait, per-query transport.Conn sends, results appended
-// under a mutex, drain by 5 ms polling. It is kept runnable (not as
-// dead history) so the speedup gate in `make bench-check` measures the
-// batched plane against it in the same run on the same hardware, and so
-// conformance tests can assert the two planes produce equivalent
-// replays. Enabled by Config.Reference.
+// under a mutex, drain by 5 ms polling. It lives in a test file: no
+// binary can select it, but the speedup gate in `make bench-check`
+// measures the batched plane against it in the same run on the same
+// hardware, and TestBatchedMatchesReference asserts the two planes
+// produce equivalent replays.
+
+// runPlane replays input through the batched plane or, with reference
+// set, through runReference behind the same report assembly.
+func runPlane(ctx context.Context, cfg Config, input trace.Reader, reference bool) (*Report, error) {
+	eng, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if reference {
+		return eng.run(ctx, input, runReference)
+	}
+	return eng.Run(ctx, input)
+}
 
 // runReference mirrors runBatched over per-item channels.
 func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]queryReport, error) {

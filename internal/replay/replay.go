@@ -64,12 +64,6 @@ type Config struct {
 	// queries stay in trace order inside a batch and across batches on
 	// the same lane.
 	BatchSize int
-	// PacingGranularity quantizes Timed-mode send schedules into buckets
-	// (default 250µs). Each querier runs one reusable timer over bucket
-	// edges instead of one timer per query, so every query in a granule
-	// shares a single fire; offsets round up, never down, adding at most
-	// one bucket of lateness and no earliness.
-	PacingGranularity time.Duration
 	// DropResults disables per-query result recording (throughput runs
 	// replaying tens of millions of queries don't want the memory).
 	DropResults bool
@@ -81,11 +75,6 @@ type Config struct {
 	// DirectDistribution bypasses the distributor stage (one-level
 	// controller→querier fan-out) for the coordination-overhead ablation.
 	DirectDistribution bool
-	// Reference selects the pre-batching per-item data plane: one channel
-	// operation per query, one timer per wait, mutex-guarded results. It
-	// exists as the baseline the batched engine's speedup gate measures
-	// against and for A/B conformance tests — not for production runs.
-	Reference bool
 
 	// Obs is the registry the engine's live instruments ("replay."
 	// namespace) register in. Pass obs.Default to watch the run from a
@@ -117,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.PacingGranularity <= 0 {
-		c.PacingGranularity = 250 * time.Microsecond
 	}
 	if !c.TLSServer.IsValid() {
 		c.TLSServer = c.Server

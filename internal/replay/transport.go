@@ -17,8 +17,8 @@ import (
 // rewriting, pending tracking, idle-timeout reuse and reconnect-on-error
 // all live in transport.Conn; this file only maps trace sources onto
 // Conns and wires querier accounting into the Conn callbacks — shared
-// by the batched querier and the reference one, so the two planes
-// differ only in scheduling, never in connection semantics.
+// with the tests' reference querier, so the two planes differ only in
+// scheduling, never in connection semantics.
 
 // connKey identifies one emulated source connection: sources that mix
 // protocols (rare in real traces, common in tests) get one connection

@@ -21,13 +21,12 @@ import (
 // measure server-side throughput (§4.3), not client fidelity — so the
 // whole querier shares one 65536-wide ID space and one 4-tuple.
 //
-// Slot protocol (the loadgen idiom): sendNs[id] holds the send time in
-// unix nanos and doubles as the liveness marker. The sender zeroes the
-// slot, stores the result index, then stores the send time; the reader
-// Swap(0)s the send time and, if it was live, reads the result index.
-// Wrapping past a still-live slot means the response never came within
-// a full ID space of sends — counted as a timeout, exactly like
-// loadgen.
+// Slot protocol: sendNs[id] holds the send time in unix nanos and
+// doubles as the liveness marker. The sender zeroes the slot, stores
+// the result index, then stores the send time; the reader Swap(0)s the
+// send time and, if it was live, reads the result index. Wrapping past
+// a still-live slot means the response never came within a full ID
+// space of sends — counted as a timeout.
 type udpSender struct {
 	q   *querier
 	pc  net.PacketConn
@@ -46,6 +45,10 @@ type udpSender struct {
 	lastOffset time.Duration
 	lastWall   time.Duration
 	lagBatch   *obs.HistogramBatch
+	// refused counts datagrams flush settled as send errors whose slots
+	// are still live (WriteBatch says how many it refused, not which);
+	// the sweeps discount them so none is also counted as a timeout.
+	refused int
 
 	readerWG sync.WaitGroup
 }
@@ -108,8 +111,7 @@ func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.T
 	if s.sendNs[id].Swap(0) != 0 {
 		// Wrapped onto a live slot: the query a full ID space ago never
 		// got its response.
-		s.q.st.timeouts.Inc()
-		s.q.inflight.Add(-1)
+		s.expire()
 	}
 	s.resIdx[id].Store(idx)
 	d := &ms[fill]
@@ -133,8 +135,9 @@ func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.T
 
 // flush hands the staged datagrams to the kernel and settles the
 // deferred per-batch accounting. Datagrams the kernel refused
-// (WriteBatch skips per-datagram failures) are send errors; their slots
-// stay live and age out via the wrap/close sweeps.
+// (WriteBatch skips per-datagram failures) are send errors, settled
+// here and now: drain must not wait on them, and the sweeps that later
+// find their slots live must not call them timeouts as well.
 func (s *udpSender) flush(ms []transport.Datagram) {
 	if len(ms) == 0 {
 		return
@@ -153,6 +156,8 @@ func (s *udpSender) flush(ms []transport.Datagram) {
 	s.q.st.sent.Add(uint64(n))
 	if short := len(ms) - n; short > 0 {
 		s.q.st.sendErrs.Add(uint64(short))
+		s.q.inflight.Add(int64(-short))
+		s.refused += short
 	}
 	if s.q.firstSend.IsZero() {
 		s.q.firstSend = now
@@ -219,8 +224,18 @@ func (s *udpSender) close() {
 	s.readerWG.Wait()
 	for i := range s.sendNs {
 		if s.sendNs[i].Swap(0) != 0 {
-			s.q.st.timeouts.Inc()
-			s.q.inflight.Add(-1)
+			s.expire()
 		}
 	}
+}
+
+// expire settles a slot a sweep found still live: a timeout, unless
+// flush already settled it as a refused datagram.
+func (s *udpSender) expire() {
+	if s.refused > 0 {
+		s.refused--
+		return
+	}
+	s.q.st.timeouts.Inc()
+	s.q.inflight.Add(-1)
 }

@@ -9,7 +9,7 @@ import (
 // buckets instead of a fresh time.NewTimer per query. Offsets quantize
 // to bucket edges by rounding UP (never down: a query may go out up to
 // one granule late, never early), so every query in a granule shares a
-// single timer fire — at a 250µs default granule, a 100 kq/s lane pays
+// single timer fire — at the 250µs granule, a 100 kq/s lane pays
 // ~4k timer operations per second instead of 100k, and a lane running
 // behind schedule pays none at all (the deadline already passed).
 //
@@ -20,6 +20,9 @@ type wheel struct {
 	gran  time.Duration
 	timer *time.Timer
 }
+
+// pacingGranularity is the bucket width every Timed querier runs.
+const pacingGranularity = 250 * time.Microsecond
 
 func newWheel(gran time.Duration) *wheel { return &wheel{gran: gran} }
 

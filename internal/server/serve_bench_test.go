@@ -2,11 +2,12 @@ package server_test
 
 // The serve benchmarks measure the full UDP pipeline — kernel socket,
 // batched reads, shard dispatch, answer cache, batched writes — driven
-// closed-loop by internal/loadgen, and report achieved qps and qps per
-// schedulable core. Sharded vs single-pipeline is the tentpole
-// comparison: on a multi-core host the sharded figure should scale with
-// GOMAXPROCS while single-pipeline stays flat. They live in package
-// server_test because loadgen's own tests import the server.
+// closed-loop by the replay engine behind a replay.NewWindowSource (what
+// ldp-loadgen runs), and report achieved qps and qps per schedulable
+// core. Sharded vs single-pipeline is the tentpole comparison: on a
+// multi-core host the sharded figure should scale with GOMAXPROCS while
+// single-pipeline stays flat. They live in package server_test because
+// the replay engine's own tests import the server.
 
 import (
 	"context"
@@ -15,7 +16,8 @@ import (
 	"time"
 
 	"ldplayer/internal/dnsmsg"
-	"ldplayer/internal/loadgen"
+	"ldplayer/internal/obs"
+	"ldplayer/internal/replay"
 	"ldplayer/internal/server"
 	"ldplayer/internal/transport"
 	"ldplayer/internal/zone"
@@ -75,25 +77,35 @@ func benchServeUDP(b *testing.B, shards int) {
 		}
 	}()
 
-	qs := benchQueries(b)
+	reg := obs.NewRegistry()
+	eng, err := replay.New(replay.Config{
+		Server:                 addr,
+		QueriersPerDistributor: max(2, shards),
+		Mode:                   replay.FastAsPossible,
+		DropResults:            true,
+		ResponseTimeout:        5 * time.Second,
+		Obs:                    reg,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// 64 outstanding: enough to keep every shard's read batches filled
+	// (the figure is the service rate, not a round trip's latency), well
+	// under the ~270 small datagrams a default receive buffer holds.
+	src := replay.NewWindowSource(benchQueries(b), 64, reg, 5*time.Second, b.N, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep, err := loadgen.Run(ctx, loadgen.Config{
-		Target:      addr,
-		Total:       b.N,
-		Concurrency: max(2, shards),
-		Timeout:     5 * time.Second,
-		Queries:     qs,
-	})
+	rep, err := eng.Run(ctx, src)
 	b.StopTimer()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if rep.Received != rep.Sent {
-		b.Fatalf("lost queries on loopback: sent=%d received=%d timeouts=%d", rep.Sent, rep.Received, rep.Timeouts)
+	if rep.Responses != uint64(b.N) {
+		b.Fatalf("lost queries on loopback: sent=%d received=%d timeouts=%d", rep.Sent, rep.Responses, rep.Timeouts)
 	}
-	b.ReportMetric(rep.QPS, "qps")
-	b.ReportMetric(rep.QPSPerCore, "qps/core")
+	qps := float64(b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(qps, "qps")
+	b.ReportMetric(qps/float64(runtime.GOMAXPROCS(0)), "qps/core")
 }
 
 // BenchmarkServeUDPSharded is the headline number: one shard per

@@ -19,6 +19,14 @@ type batchSys struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrAny
+
+	// The poller callbacks are built once and pass operands and results
+	// through these fields: a closure per call escapes, and put three
+	// allocations on every batch.
+	recv, send func(fd uintptr) bool
+	from       int // send: first header still to go
+	n          int
+	errno      syscall.Errno
 }
 
 // mmsghdr mirrors struct mmsghdr: one msghdr plus the per-message byte
@@ -41,7 +49,28 @@ func newBatchSys(pc net.PacketConn) *batchSys {
 	if err != nil {
 		return nil
 	}
-	return &batchSys{raw: raw}
+	b := &batchSys{raw: raw}
+	b.recv = func(fd uintptr) bool {
+		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN || e == syscall.EINTR {
+			return false // re-arm on the poller and retry
+		}
+		b.n, b.errno = int(r), e
+		return true
+	}
+	b.send = func(fd uintptr) bool {
+		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.hdrs[b.from])), uintptr(len(b.hdrs)-b.from),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN || e == syscall.EINTR {
+			return false
+		}
+		b.n, b.errno = int(r), e
+		return true
+	}
+	return b
 }
 
 // grow sizes the scratch vectors for a batch of n messages.
@@ -69,31 +98,17 @@ func (b *batchSys) readBatch(ms []Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	var (
-		n    int
-		serr syscall.Errno
-	)
-	err := b.raw.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN || e == syscall.EINTR {
-			return false // re-arm on the poller and retry
-		}
-		n, serr = int(r), e
-		return true
-	})
-	if err != nil {
+	if err := b.raw.Read(b.recv); err != nil {
 		return 0, err // deadline expiry / closed socket, as a net.Error
 	}
-	if serr != 0 {
-		return 0, serr
+	if b.errno != 0 {
+		return 0, b.errno
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < b.n; i++ {
 		ms[i].N = int(b.hdrs[i].n)
 		ms[i].Addr = sockaddrToAddrPort(&b.names[i])
 	}
-	return n, nil
+	return b.n, nil
 }
 
 func (b *batchSys) writeBatch(ms []Datagram) (int, error) {
@@ -109,35 +124,20 @@ func (b *batchSys) writeBatch(ms []Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	sent := 0
-	for sent < len(ms) {
-		var (
-			n    int
-			serr syscall.Errno
-		)
-		err := b.raw.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.hdrs[sent])), uintptr(len(b.hdrs)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN || e == syscall.EINTR {
-				return false
-			}
-			n, serr = int(r), e
-			return true
-		})
-		if err != nil {
-			return sent, err // closed socket; shutdown handles it
+	for b.from = 0; b.from < len(ms); {
+		if err := b.raw.Write(b.send); err != nil {
+			return b.from, err // closed socket; shutdown handles it
 		}
-		if serr != 0 {
+		if b.errno != 0 {
 			// A per-datagram failure (async ICMP error, unreachable
 			// client) poisons only the head of the remaining vector:
 			// skip that one datagram and keep sending the rest.
-			sent++
+			b.from++
 			continue
 		}
-		sent += n
+		b.from += b.n
 	}
-	return sent, nil
+	return b.from, nil
 }
 
 // sockaddrToAddrPort decodes the kernel-filled source address.
