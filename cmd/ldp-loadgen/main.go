@@ -136,7 +136,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 	// Closed loop has no schedule: the engine's RTT histogram (this
 	// registry serves one run) is the latency. Open loop counts from
 	// the intended send: the schedule lag added to each wire RTT.
-	quantile := opts.reg.Histogram("replay.rtt_seconds", obs.LatencyBuckets).Snap().Quantile
+	quantile := opts.reg.Histogram("replay.rtt_seconds", obs.FineLatencyBuckets).Snap().Quantile
 	if opts.qps > 0 {
 		var lat []float64
 		for _, r := range rep.Results {

@@ -143,9 +143,9 @@ func Fig6TimingError(sc Scale) (*Result, error) {
 		}
 	}
 	// The paper reports quartiles within ±2.5 ms (±8 ms at the 0.1 s
-	// inter-arrival) on dedicated hardware; allow a shared-host envelope.
+	// inter-arrival) on dedicated hardware; the check holds the paper's bound.
 	r.addCheck("B-Root replay quartile error", "within ±2.5 ms",
-		fmt.Sprintf("±%.2f ms", brootQuartile), brootQuartile < 25)
+		fmt.Sprintf("±%.2f ms", brootQuartile), brootQuartile < 2.5)
 	return r, nil
 }
 

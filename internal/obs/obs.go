@@ -176,3 +176,8 @@ var LatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
+
+// FineLatencyBuckets extends LatencyBuckets down to 10 µs for the
+// replay client's schedule lag and loopback RTT, whose medians sit
+// below LatencyBuckets' first bound.
+var FineLatencyBuckets = append([]float64{0.00001, 0.000025, 0.00005}, LatencyBuckets...)

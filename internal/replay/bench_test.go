@@ -189,10 +189,10 @@ func BenchmarkReplayFastUDPLoopbackReference(b *testing.B) {
 	benchReplay(b, fastConfig(ap, nil), true)
 }
 
-// BenchmarkReplayTimed drives the Timed plane (wheel pacing, per-source
-// Conns) with a schedule that is always behind wall clock, so the
-// benchmark measures data-plane overhead — pacing bookkeeping included,
-// sleeping excluded.
+// BenchmarkReplayTimed drives the Timed plane (deadline pacer,
+// per-source Conns) with a schedule that is always behind wall clock, so
+// the benchmark measures data-plane overhead — the pacer's already-due
+// check included, sleeping excluded (BenchmarkPacerSleep has that).
 func BenchmarkReplayTimed(b *testing.B) {
 	ap, stop := startEchoSink(b)
 	defer stop()
@@ -204,4 +204,18 @@ func BenchmarkReplayTimed(b *testing.B) {
 		QueriersPerDistributor: 2,
 		ResponseTimeout:        250 * time.Millisecond,
 	}, false)
+}
+
+// BenchmarkPacerSleep waits out one 200 µs deadline per op: the cost of
+// arm + park + wake (0 allocs/op) and, as oversleep-µs, how long after
+// its deadline the pacer woke — reported, not gated: it is the host's
+// timer and scheduler latency.
+func BenchmarkPacerSleep(b *testing.B) {
+	q := newPacedQuerier(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		q.sleepUntil(time.Since(q.realStart) + 200*time.Microsecond)
+	}
+	b.ReportMetric(q.st.pacerOversleep.Sum()/float64(b.N)*1e6, "oversleep-µs")
 }

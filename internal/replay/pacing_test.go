@@ -3,72 +3,133 @@ package replay
 import (
 	"context"
 	"net/netip"
+	"os"
 	"sort"
 	"testing"
 	"time"
 
 	"ldplayer/internal/obs"
 	"ldplayer/internal/trace"
+	"ldplayer/internal/transport"
 )
 
-// TestWheelBucketQuantization: offsets round UP to bucket edges — a
-// query may go out late by under one granule, never early.
-func TestWheelBucketQuantization(t *testing.T) {
-	g := 250 * time.Microsecond
-	w := newWheel(g)
-	cases := []struct{ off, want time.Duration }{
-		{0, 0},
-		{1, g},
-		{g - 1, g},
-		{g, g},
-		{g + 1, 2 * g},
-		{10*g - 1, 10 * g},
+// newPacedQuerier builds an unstarted querier whose pacer is live: the
+// sleeper runTimed would open, and realStart now.
+func newPacedQuerier(tb testing.TB) *querier {
+	tb.Helper()
+	cfg := Config{Server: fabricServer}.withDefaults()
+	q := newQuerier(cfg, newStats(obs.NewRegistry()))
+	var err error
+	if q.sleeper, err = transport.NewSleeper(context.Background()); err != nil {
+		tb.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := w.bucket(c.off); got != c.want {
-			t.Errorf("bucket(%v)=%v want %v", c.off, got, c.want)
-		}
-	}
-	// Zero granularity degrades to exact offsets.
-	if got := newWheel(0).bucket(12345); got != 12345 {
-		t.Errorf("ungated bucket=%v want 12345", got)
-	}
+	tb.Cleanup(q.sleeper.Close)
+	q.sync(time.Time{}, time.Now())
+	return q
 }
 
-// TestWheelPacingAccuracy drives a constant-gap schedule through the
-// wheel and checks the send-time error: never early, and p99 within one
-// bucket plus scheduler slop.
-func TestWheelPacingAccuracy(t *testing.T) {
+// TestPacerAccuracy drives a constant-gap schedule through the pacer and
+// checks the send-time error against the exact deadlines: never early,
+// and late by scheduler slop only.
+func TestPacerAccuracy(t *testing.T) {
 	const (
-		gran = 10 * time.Millisecond
-		gap  = 5 * time.Millisecond
-		n    = 40
-		// CI boxes wake timers late; the bound asserts the wheel adds at
-		// most its documented one-bucket quantization on top of that.
+		gap = 5 * time.Millisecond
+		n   = 40
+		// CI boxes wake timers late; the pacer itself adds nothing.
 		slop = 25 * time.Millisecond
 	)
-	w := newWheel(gran)
-	defer w.stop()
-	start := time.Now()
+	q := newPacedQuerier(t)
 	errs := make([]time.Duration, 0, n)
 	for i := 1; i <= n; i++ {
 		offset := time.Duration(i) * gap
-		if !w.sleepUntil(context.Background(), start, offset) {
+		if !q.sleepUntil(offset) {
 			t.Fatal("sleepUntil returned early without cancellation")
 		}
-		lag := time.Since(start) - offset
+		lag := time.Since(q.realStart) - offset
 		if lag < 0 {
-			t.Fatalf("query %d sent %v early — the wheel must never round down", i, -lag)
+			t.Fatalf("query %d sent %v early — the pacer must never wake a query before its deadline", i, -lag)
 		}
 		errs = append(errs, lag)
 	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i] < errs[j] })
-	p99 := errs[len(errs)*99/100]
-	if p99 > gran+slop {
-		t.Errorf("p99 send-time error %v exceeds one bucket (%v) + slop", p99, gran)
+	if p99 := errs[len(errs)*99/100]; p99 > slop {
+		t.Errorf("p99 send-time error %v exceeds scheduler slop", p99)
 	}
-	if med := errs[len(errs)/2]; med > gran+5*time.Millisecond {
-		t.Errorf("median send-time error %v too large for %v buckets", med, gran)
+	if med := errs[len(errs)/2]; med > 5*time.Millisecond {
+		t.Errorf("median send-time error %v too large for exact deadlines", med)
+	}
+	// The pacer's own account: every wait armed the timer at least once
+	// and reported its oversleep; a deadline already passed costs nothing.
+	sleeps, woke := q.st.pacerSleeps.Value(), q.st.pacerOversleep.Count()
+	if woke == 0 || woke > n || sleeps < woke {
+		t.Errorf("pacer.sleeps=%d oversleep samples=%d over %d deadlines", sleeps, woke, n)
+	}
+	if !q.sleepUntil(gap) || q.st.pacerSleeps.Value() != sleeps {
+		t.Error("a query already due must pass without arming the timer")
+	}
+}
+
+// timedEchoRun replays perSec queries a second for dur in Timed mode
+// over the echo fabric (no sockets: the only fds the engine opens are
+// the pacers').
+func timedEchoRun(t *testing.T, queriers, perSec int, dur time.Duration) *Report {
+	t.Helper()
+	n := int(dur.Seconds() * float64(perSec))
+	events := benchEvents(t, 16, n)
+	for i, ev := range events {
+		cp := *ev
+		cp.Time = time.Unix(0, 0).Add(time.Duration(i) * time.Second / time.Duration(perSec))
+		events[i] = &cp
+	}
+	eng, err := New(Config{
+		Server:                 fabricServer,
+		Dialer:                 echoFabric{},
+		Distributors:           1,
+		QueriersPerDistributor: queriers,
+		ResponseTimeout:        250 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run(context.Background(), &sliceReader{events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(rep.Sent) != n {
+		t.Fatalf("sent %d of %d (send errors %d)", rep.Sent, n, rep.SendErrs)
+	}
+	return rep
+}
+
+// TestTimedReplayNeverEarly: end to end through the engine, no query of
+// a 0.5 s, 2 kq/s Timed replay leaves before its trace offset.
+func TestTimedReplayNeverEarly(t *testing.T) {
+	rep := timedEchoRun(t, 2, 2000, 500*time.Millisecond)
+	earliest := time.Duration(1 << 62)
+	for _, r := range rep.Results {
+		earliest = min(earliest, r.SentOffset-r.TraceOffset)
+	}
+	if len(rep.Results) == 0 || earliest < 0 {
+		t.Errorf("min(SentOffset − TraceOffset) = %v over %d results, want ≥ 0", earliest, len(rep.Results))
+	}
+}
+
+// TestPacerClosesTimerFD: every querier's pacer releases its timer fd
+// when its run ends, so an engine run leaves the fd table as it found it.
+func TestPacerClosesTimerFD(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no fd table to count: %v", err)
+		}
+		return len(ents)
+	}
+	run := func() { timedEchoRun(t, 8, 2000, 50*time.Millisecond) }
+	run() // first use opens the runtime's own poller fds
+	before := openFDs()
+	run()
+	if after := openFDs(); after != before {
+		t.Errorf("open fds: %d before an 8-querier Timed run, %d after", before, after)
 	}
 }
 

@@ -32,6 +32,8 @@ type querier struct {
 	realStart  time.Time
 	// lastOffset supports the naive-timing ablation.
 	lastOffset time.Duration
+	// sleeper is what Timed sends are paced on; runTimed owns it.
+	sleeper *transport.Sleeper
 
 	// One transport.Conn per emulated (source, protocol).
 	conns map[connKey]*transport.Conn
@@ -96,12 +98,16 @@ func (q *querier) run(ctx context.Context) {
 	q.drain()
 }
 
-// runTimed paces each query to its trace offset through the wheel. The
-// naive ablation keeps its historical shape — a raw gap sleep per query,
-// no bucketing — so the drift it exists to demonstrate is untouched.
+// runTimed holds each query to its exact trace offset (sleepUntil). The
+// naive ablation keeps its historical shape — a raw gap sleep per query
+// on the same sleeper — so the drift it exists to demonstrate is
+// untouched.
 func (q *querier) runTimed(ctx context.Context) {
-	w := newWheel(pacingGranularity)
-	defer w.stop()
+	var err error
+	if q.sleeper, err = transport.NewSleeper(ctx); err != nil {
+		q.st.pacerFallback.Inc() // timerfd refused: the run is late, not wrong
+	}
+	defer q.sleeper.Close()
 	for b := range q.in {
 		for i := range b.items {
 			it := b.items[i]
@@ -113,20 +119,45 @@ func (q *querier) runTimed(ctx context.Context) {
 				// ignoring time already consumed — drift accumulates.
 				wait := it.offset - q.lastOffset
 				q.lastOffset = it.offset
-				if wait > 0 && !w.sleep(ctx, wait) {
+				if wait > 0 && !q.sleep(wait) {
 					continue
 				}
-			} else if !w.sleepUntil(ctx, q.realStart, it.offset) {
-				// ΔTᵢ = Δt̄ᵢ − Δtᵢ: the wheel's deadline is the
-				// trace-relative target measured from realStart, so time
-				// consumed by input processing and distribution is
-				// continuously compensated (at bucket resolution).
+			} else if !q.sleepUntil(it.offset) {
 				continue
 			}
 			q.send(it)
 		}
 		putBatch(b)
 	}
+}
+
+// sleepUntil is the Timed pacer: it blocks until offset past realStart,
+// returning false if the context ended first, and never returns early —
+// after any wake it re-reads the clock and waits out the remainder. A
+// query already due passes without touching the timer, so a lane running
+// behind pays nothing and queries due together share one wake. Measuring
+// from the controller's realStart absorbs the time input processing and
+// distribution took: the paper's compensation, ΔTᵢ = Δt̄ᵢ − Δtᵢ.
+func (q *querier) sleepUntil(offset time.Duration) bool {
+	deadline := q.realStart.Add(offset)
+	wait := time.Until(deadline)
+	if wait <= 0 {
+		return true
+	}
+	for wait > 0 {
+		if !q.sleep(wait) {
+			return false
+		}
+		wait = time.Until(deadline)
+	}
+	q.st.pacerOversleep.ObserveDuration(-wait)
+	return true
+}
+
+// sleep blocks for d: one timer arm.
+func (q *querier) sleep(d time.Duration) bool {
+	q.st.pacerSleeps.Inc()
+	return q.sleeper.Sleep(d)
 }
 
 // runFast sends as fast as the pipeline moves. UDP queries coalesce

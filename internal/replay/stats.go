@@ -38,6 +38,11 @@ type stats struct {
 	// sendLag is how far behind the trace schedule each query went out
 	// (the paper's ΔTᵢ error, Fig 6); Timed mode keeps it near zero.
 	sendLag *obs.Histogram
+	// The pacer's account separates "the timer was late" from "queued
+	// behind earlier sends": timer arms, wake − deadline, timerfd refusals.
+	pacerSleeps    *obs.Counter
+	pacerOversleep *obs.Histogram
+	pacerFallback  *obs.Counter
 	// traceOffset/wallOffset are the replay clocks: the trace timestamp
 	// most recently scheduled and the wall time consumed reaching it.
 	// Their ratio is achieved vs. scheduled send rate; their difference
@@ -57,10 +62,14 @@ func newStats(reg *obs.Registry) *stats {
 		idExhausted:  reg.Counter("replay.id_exhausted"),
 		bytesSent:    reg.Counter("replay.bytes_sent"),
 		badResponses: reg.Counter("replay.bad_responses"),
-		rtt:          reg.Histogram("replay.rtt_seconds", obs.LatencyBuckets),
-		sendLag:      reg.Histogram("replay.send_lag_seconds", obs.LatencyBuckets),
+		rtt:          reg.Histogram("replay.rtt_seconds", obs.FineLatencyBuckets),
+		sendLag:      reg.Histogram("replay.send_lag_seconds", obs.FineLatencyBuckets),
 		traceOffset:  reg.Gauge("replay.trace_offset_seconds"),
 		wallOffset:   reg.Gauge("replay.wall_offset_seconds"),
+
+		pacerSleeps:    reg.Counter("replay.pacer.sleeps"),
+		pacerOversleep: reg.Histogram("replay.pacer.oversleep_seconds", obs.FineLatencyBuckets),
+		pacerFallback:  reg.Counter("replay.pacer.fallback"),
 	}
 }
 
