@@ -31,11 +31,7 @@ func main() {
 	if err := srv.AddZone(zonegen.RootZone(nil)); err != nil {
 		log.Fatal(err)
 	}
-	pcUDP, target, err := transport.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	lnTCP, _, err := transport.ListenTCP(target.String())
+	pcUDP, lnTCP, target, err := transport.ListenUDPTCP("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,30 +30,24 @@ func WriteTCPMsg(w io.Writer, msg []byte) error {
 // io.EOF cleanly when the stream ends on a message boundary.
 func ReadTCPMsg(r io.Reader) ([]byte, error) {
 	var pfx [2]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
-		return nil, err // io.EOF on clean close
-	}
-	n := int(binary.BigEndian.Uint16(pfx[:]))
-	if n == 0 {
-		return nil, fmt.Errorf("%w: zero length", ErrLengthPrefix)
+	n, err := ReadTCPLen(r, &pfx)
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := ReadTCPBody(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// ReadTCPMsgInto reads one length-prefixed DNS message into buf and
-// returns its length, avoiding the per-message allocation of ReadTCPMsg.
-// buf must be at least as large as the framed message (64 KiB always
-// suffices). It returns io.EOF cleanly when the stream ends on a message
-// boundary.
-func ReadTCPMsgInto(r io.Reader, buf []byte) (int, error) {
-	var pfx [2]byte
+// ReadTCPLen reads one 2-byte length prefix from r into the caller's
+// scratch pfx and returns the body length it announces, so a reader can
+// wait for the next message without holding a body buffer. It returns
+// io.EOF cleanly when the stream ends on a message boundary,
+// io.ErrUnexpectedEOF inside the prefix, and ErrLengthPrefix for a
+// zero length.
+func ReadTCPLen(r io.Reader, pfx *[2]byte) (int, error) {
 	if _, err := io.ReadFull(r, pfx[:]); err != nil {
 		return 0, err // io.EOF on clean close
 	}
@@ -61,16 +55,19 @@ func ReadTCPMsgInto(r io.Reader, buf []byte) (int, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("%w: zero length", ErrLengthPrefix)
 	}
-	if n > len(buf) {
-		return 0, fmt.Errorf("%w: message of %d bytes exceeds %d-byte buffer", ErrLengthPrefix, n, len(buf))
-	}
-	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+	return n, nil
+}
+
+// ReadTCPBody reads exactly len(body) bytes — the body ReadTCPLen
+// announced — reporting a stream that ends short as io.ErrUnexpectedEOF.
+func ReadTCPBody(r io.Reader, body []byte) error {
+	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, err
+		return err
 	}
-	return n, nil
+	return nil
 }
 
 // AppendTCPMsg appends the length-prefixed form of msg to dst, for

@@ -36,13 +36,8 @@ func startLiveServer() (*liveServer, error) {
 	if err := s.AddZone(zonegen.RootZone(nil)); err != nil {
 		return nil, err
 	}
-	pc, addr, err := transport.ListenUDP("127.0.0.1:0")
+	pc, ln, addr, err := transport.ListenUDPTCP("127.0.0.1:0")
 	if err != nil {
-		return nil, err
-	}
-	ln, _, err := transport.ListenTCP(addr.String())
-	if err != nil {
-		pc.Close() //ldp:nolint errcheck — already failing setup; the ListenTCP error is the one reported
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -10,9 +10,10 @@ import (
 // hot paths (PRs 4 and 7) state only in doc comments: values handed out
 // by pcap.Reader.ReadZeroCopy, zone.StreamParser.Next, and the
 // dnsmsg arena codec (pooled GetMsg messages, UnpackBuffer receivers),
-// and transport.GetBatch datagram batches (whose Bufs PutBatch hands to
-// the next ReadBatch) alias storage that is recycled by the NEXT read,
-// Reset, PutMsg, or PutBatch.
+// transport.GetBatch datagram batches (whose Bufs PutBatch hands to the
+// next ReadBatch), and transport.RecvPooled receive buffers (borrowed
+// only while a message is in hand) alias storage that is recycled by the
+// NEXT read, Reset, PutMsg, PutBatch, or PutBuf.
 // A retained alias does not crash — it silently yields bytes from a
 // different packet, token, or message, which in a byte-faithful replay
 // tool corrupts results rather than failing loudly. bufalias flags any
@@ -37,7 +38,7 @@ type BufAlias struct {
 
 func (BufAlias) Name() string { return "bufalias" }
 func (BufAlias) Doc() string {
-	return "values aliasing transient buffers (ReadZeroCopy packets, zone tokens, dnsmsg arenas, pooled datagram batches) must not outlive the next read"
+	return "values aliasing transient buffers (ReadZeroCopy packets, zone tokens, dnsmsg arenas, pooled datagram batches and receive buffers) must not outlive the next read"
 }
 
 const bufAliasRemedy = "copy it first (Clone / append([]byte(nil), ...) / explicit copy) or //ldp:nolint bufalias with the lifetime story"
@@ -61,6 +62,7 @@ var bufSources = []bufSource{
 	{"/internal/dnsmsg", "", "GetMsg", "pooled dnsmsg.Msg arena", "arena", "result0"},
 	{"/internal/dnsmsg", "Msg", "UnpackBuffer", "pooled dnsmsg.Msg arena", "arena", "recv"},
 	{"/internal/transport", "", "GetBatch", "pooled transport datagram batch", "dgbatch", "result0"},
+	{"/internal/transport", "", "RecvPooled", "pooled transport receive buffer", "recvbuf", "result0"},
 }
 
 // matchSource resolves a call against the source table (nil when the
@@ -116,11 +118,11 @@ func (c BufAlias) Check(p *Package) []Diagnostic {
 			if s == nil || s.via != "result0" {
 				return nil
 			}
-			tag := &Tag{Origin: call, Desc: s.desc, Kind: s.kind}
-			if s.fn == "ReadZeroCopy" {
-				return []*Tag{tag, nil} // (Packet, error)
-			}
-			return []*Tag{tag}
+			// The first result is the transient; the rest (error, length)
+			// stay untagged.
+			tags := make([]*Tag, max(calleeOf(p, call).Signature().Results().Len(), 1))
+			tags[0] = &Tag{Origin: call, Desc: s.desc, Kind: s.kind}
+			return tags
 		},
 		sourceArgs: func(call *ast.CallExpr) map[int]*Tag {
 			s := c.matchSource(p, call)

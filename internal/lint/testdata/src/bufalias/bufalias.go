@@ -182,3 +182,33 @@ func trimInPlace(wire []byte) error {
 	resp.Additional = kept
 	return nil
 }
+
+// recvEscape keeps views of a pooled receive buffer: PutBuf hands it to
+// the next RecvPooled, whose message overwrites the kept bytes.
+func recvEscape(ep transport.Endpoint, st *store, ch chan []byte) error {
+	bp, n, err := transport.RecvPooled(ep)
+	if err != nil {
+		return err
+	}
+	defer transport.PutBuf(bp)
+	msg := (*bp)[:n]
+	st.data = msg    // want "stored into a field"
+	ch <- (*bp)[2:n] // want "sent on a channel"
+	lastPacket = *bp // want "package-level variable"
+	return nil
+}
+
+// recvCopyOut is the blessed shape: the message leaves the borrowed
+// buffer only as a content copy. No findings.
+func recvCopyOut(ep transport.Endpoint, st *store, ch chan []byte) error {
+	bp, n, err := transport.RecvPooled(ep)
+	if err != nil {
+		return err
+	}
+	defer transport.PutBuf(bp)
+	st.data = append([]byte(nil), (*bp)[:n]...)
+	owned := make([]byte, n)
+	copy(owned, *bp)
+	ch <- owned
+	return nil
+}

@@ -70,14 +70,15 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // without scraping the whole registry.
 func (h *Histogram) Snap() HistogramSnapshot {
 	hs := HistogramSnapshot{
-		Count:  h.Count(),
-		Sum:    h.Sum(),
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
 	}
+	// Buckets before the count: Observe bumps its bucket first, so the
+	// bucket sum can lead Count only by observations still in flight.
 	for i := range h.counts {
 		hs.Counts[i] = h.counts[i].Load()
 	}
+	hs.Count, hs.Sum = h.Count(), h.Sum()
 	return hs
 }
 

@@ -10,6 +10,7 @@ import (
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/server"
 	"ldplayer/internal/trace"
+	"ldplayer/internal/transport"
 	"ldplayer/internal/workload"
 	"ldplayer/internal/zonegen"
 )
@@ -22,12 +23,7 @@ func testServer(t testing.TB) (*server.Server, netip.AddrPort, func()) {
 	if err := s.AddZone(zonegen.WildcardZone("example.com.")); err != nil {
 		t.Fatal(err)
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := pc.LocalAddr().(*net.UDPAddr).Port
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
+	pc, ln, ap, err := transport.ListenUDPTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +35,6 @@ func testServer(t testing.TB) (*server.Server, netip.AddrPort, func()) {
 		pc.Close()
 		ln.Close()
 	}
-	ap := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), uint16(port))
 	return s, ap, stop
 }
 

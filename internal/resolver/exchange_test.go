@@ -9,6 +9,7 @@ import (
 
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/server"
+	"ldplayer/internal/transport"
 	"ldplayer/internal/zone"
 )
 
@@ -31,11 +32,7 @@ func TestUDPExchangerLive(t *testing.T) {
 	if err := s.AddZone(z); err != nil {
 		t.Fatal(err)
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
+	pc, ln, _, err := transport.ListenUDPTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

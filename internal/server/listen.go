@@ -112,46 +112,52 @@ func (s *Server) serveStream(ctx context.Context, ln transport.Listener, open *o
 	}
 }
 
+// streamServe answers one stream connection's queries until it idles
+// out, closes or breaks. Between queries it holds nothing pooled: each
+// message is read into a borrowed buffer (transport.RecvPooled), decoded
+// into a pooled Msg, answered into the same buffer and both go back
+// before the next wait — an idle connection costs its socket and this
+// goroutine.
 func (s *Server) streamServe(ctx context.Context, ep transport.Endpoint, queries *obs.Counter) {
-	bp := transport.GetBuf()
-	defer transport.PutBuf(bp)
-	buf := *bp
-	req := dnsmsg.GetMsg()
-	defer dnsmsg.PutMsg(req)
-	var out []byte // response scratch, grown once and reused per-connection
 	for {
 		ep.SetDeadline(time.Now().Add(s.cfg.TCPIdleTimeout)) //ldp:nolint errcheck — a failed deadline surfaces as a Recv error on the next read
-		n, err := ep.Recv(buf)
+		bp, n, err := transport.RecvPooled(ep)
 		if err != nil {
 			return // idle timeout, client close, or malformed framing
 		}
-		s.stats.stream.bytesIn.Add(uint64(n + 2))
-		queries.Add(1)
-		if err := req.UnpackBuffer(buf[:n]); err != nil {
-			return
-		}
-		src := ep.RemoteAddr().Addr()
-		if len(req.Question) == 1 && req.Question[0].Type == dnsmsg.TypeAXFR &&
-			req.Opcode == dnsmsg.OpcodeQuery {
-			s.stats.stream.queries.Inc()
-			s.stats.axfr.Inc()
-			if err := s.handleAXFR(src, req, ep); err != nil {
-				return
-			}
-			continue
-		}
-		out, err = s.HandleQueryWire(src, req, 0, out[:0])
-		if err != nil {
-			return
-		}
-		if err := ep.Send(out); err != nil {
-			return
-		}
-		s.stats.stream.bytesOut.Add(uint64(len(out) + 2))
-		if ctx.Err() != nil {
+		ok := s.streamAnswer(ep, (*bp)[:n], queries)
+		transport.PutBuf(bp)
+		if !ok || ctx.Err() != nil {
 			return
 		}
 	}
+}
+
+// streamAnswer answers one framed query held in wire, a borrowed pool
+// buffer: the request decodes into its own arena, so the response packs
+// over the request's bytes (cap(wire) fits any DNS message). It reports
+// whether the connection should stay open.
+func (s *Server) streamAnswer(ep transport.Endpoint, wire []byte, queries *obs.Counter) bool {
+	s.stats.stream.bytesIn.Add(uint64(len(wire) + 2))
+	queries.Add(1)
+	req := dnsmsg.GetMsg()
+	defer dnsmsg.PutMsg(req)
+	if err := req.UnpackBuffer(wire); err != nil {
+		return false
+	}
+	src := ep.RemoteAddr().Addr()
+	if len(req.Question) == 1 && req.Question[0].Type == dnsmsg.TypeAXFR &&
+		req.Opcode == dnsmsg.OpcodeQuery {
+		s.stats.stream.queries.Inc()
+		s.stats.axfr.Inc()
+		return s.handleAXFR(src, req, ep) == nil
+	}
+	out, err := s.HandleQueryWire(src, req, 0, wire[:0])
+	if err != nil || ep.Send(out) != nil {
+		return false
+	}
+	s.stats.stream.bytesOut.Add(uint64(len(out) + 2))
+	return true
 }
 
 // SelfSignedTLS builds a TLS config with a fresh ECDSA P-256 certificate

@@ -223,8 +223,12 @@ func (s *Server) handleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, o
 	defer ansPool.Put(ans)
 	// resp's sections will alias ans's backing arrays; detach them before
 	// resp returns to the message pool, or two separately pooled objects
-	// would share storage and race once handed to different workers.
-	defer func() { resp.Answer, resp.Authority, resp.Additional = nil, nil, nil }()
+	// would share storage and race once handed to different workers. resp
+	// gets its own section arrays back, not nil: the pool is shared with
+	// every decoder in the process (a Conn's per-response UnpackBuffer),
+	// which would otherwise regrow them on every message it draws.
+	ownAns, ownAuth, ownAdd := resp.Answer, resp.Authority, resp.Additional
+	defer func() { resp.Answer, resp.Authority, resp.Additional = ownAns, ownAuth, ownAdd }()
 
 	// Truncation happens at the wire level here (the cache needs the full
 	// form regardless), so answerInto runs uncapped.
@@ -370,6 +374,9 @@ func (s *Server) answerInto(resp *dnsmsg.Msg, ans *zone.Answer, src netip.Addr, 
 	}
 	if hasEDNS {
 		resp.SetEDNS(dnsmsg.DefaultEDNSUDP, do)
+		// Hand any growth for the OPT back to the scratch, or a pooled
+		// Answer whose array is exactly full reallocates on every query.
+		ans.Additional = resp.Additional
 	}
 
 	if limit := effectiveLimit(maxSize, udpSize, hasEDNS); limit > 0 {

@@ -124,20 +124,23 @@ func (b *batchSys) writeBatch(ms []Datagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
+	skipped := 0
 	for b.from = 0; b.from < len(ms); {
 		if err := b.raw.Write(b.send); err != nil {
-			return b.from, err // closed socket; shutdown handles it
+			return b.from - skipped, err // closed socket; shutdown handles it
 		}
 		if b.errno != 0 {
 			// A per-datagram failure (async ICMP error, unreachable
-			// client) poisons only the head of the remaining vector:
-			// skip that one datagram and keep sending the rest.
+			// client, oversized datagram) poisons only the head of the
+			// remaining vector: skip that one datagram, count it as not
+			// sent, and keep sending the rest.
 			b.from++
+			skipped++
 			continue
 		}
 		b.from += b.n
 	}
-	return b.from, nil
+	return b.from - skipped, nil
 }
 
 // sockaddrToAddrPort decodes the kernel-filled source address.

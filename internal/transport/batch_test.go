@@ -91,6 +91,32 @@ func TestUDPBatchReadWrite(t *testing.T) {
 	}
 }
 
+// TestUDPBatchWriteCountsRefused: WriteBatch reports how many datagrams
+// the kernel took, not how far it got — a datagram refused mid-batch
+// (here: larger than any UDP payload) is skipped and not counted, on
+// the sendmmsg path exactly as on the portable one.
+func TestUDPBatchWriteCountsRefused(t *testing.T) {
+	b, cli, _ := newBatchPair(t)
+	dst := AddrPortOf(cli.LocalAddr())
+	ms := []Datagram{
+		{Buf: []byte("one"), Addr: dst},
+		{Buf: make([]byte, 70000), Addr: dst},
+		{Buf: []byte("two"), Addr: dst},
+	}
+	sent, err := b.WriteBatch(ms)
+	if err != nil || sent != 2 {
+		t.Fatalf("WriteBatch = %d, %v; want 2, nil", sent, err)
+	}
+	buf := make([]byte, 128)
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	for _, want := range []string{"one", "two"} {
+		n, _, err := cli.ReadFrom(buf)
+		if err != nil || string(buf[:n]) != want {
+			t.Fatalf("client read = %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+}
+
 // TestUDPBatchDeadline: an expired read deadline surfaces as a timeout
 // net.Error, exactly like ReadFrom — the shard shutdown path relies on
 // this.

@@ -11,6 +11,11 @@ const BufSize = 64 * 1024
 // (resolver), per socket reader (replay, server) and per query (dig);
 // at replay rates that is gigabytes per second of garbage. Pool entries
 // are *[]byte so Put itself does not allocate.
+//
+// Ownership rule: a buffer is held only while a message is in hand.
+// Nothing parks on a pooled buffer — a reader waiting for its next
+// message holds none (RecvPooled), so an idle source costs its socket,
+// its goroutine and its pending map, not 64 KiB.
 var bufPool = sync.Pool{
 	New: func() any {
 		obsBufAllocs.Inc()
@@ -32,6 +37,40 @@ func GetBuf() *[]byte {
 func PutBuf(bp *[]byte) {
 	if bp != nil && cap(*bp) >= BufSize {
 		*bp = (*bp)[:BufSize]
+		obsBufPuts.Inc()
 		bufPool.Put(bp)
 	}
+}
+
+// PooledReceiver is the buffer-on-ready read: wait for the next message
+// holding no buffer, borrow one from the pool only once the message is
+// there, and return it as RecvPooled does. Every Endpoint of this
+// package implements it; a wrapping Endpoint defined elsewhere keeps it
+// by forwarding to RecvPooled on the Endpoint it wraps.
+type PooledReceiver interface {
+	RecvPooled() (bp *[]byte, n int, err error)
+}
+
+// RecvPooled waits for ep's next message and returns it in a buffer
+// borrowed from the pool: the message is (*bp)[:n], valid until the
+// caller hands bp to PutBuf, which it must do once the message is
+// handled. On error bp is nil. An Endpoint without PooledReceiver gets
+// the plain blocking read — borrow first, then wait in Recv. Like Recv,
+// one reader at a time per endpoint.
+func RecvPooled(ep Endpoint) (bp *[]byte, n int, err error) {
+	if pr, ok := ep.(PooledReceiver); ok {
+		return pr.RecvPooled()
+	}
+	return recvBorrowed(ep)
+}
+
+// recvBorrowed is the blocking read behind RecvPooled's fallback.
+func recvBorrowed(ep Endpoint) (*[]byte, int, error) {
+	bp := GetBuf()
+	n, err := ep.Recv(*bp)
+	if err != nil {
+		PutBuf(bp)
+		return nil, 0, err
+	}
+	return bp, n, nil
 }

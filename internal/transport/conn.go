@@ -22,11 +22,11 @@ type ConnConfig struct {
 	// call — the buffer is pooled).
 	OnResponse func(token any, rtt time.Duration, wire []byte)
 	// OnResponseMsg, when set, additionally delivers the matched response
-	// decoded through the read loop's pooled message — m is valid only
-	// during the call and must not be retained (Detach first to keep
-	// any part of it). A matched response that fails to decode is
-	// delivered with m == nil so malformed answers stay countable.
-	// When both callbacks are set, OnResponse runs first.
+	// decoded into a pooled message — m is valid only during the call
+	// and must not be retained (Detach first to keep any part of it).
+	// A matched response that fails to decode is delivered with
+	// m == nil so malformed answers stay countable. When both callbacks
+	// are set, OnResponse runs first.
 	OnResponseMsg func(token any, rtt time.Duration, m *dnsmsg.Msg)
 	// OnDrop reports an in-flight query that can no longer be answered:
 	// its endpoint closed (idle timeout, peer close, error) or the Conn
@@ -195,19 +195,13 @@ func (c *Conn) drop(tokens []any) {
 }
 
 // readLoop receives on one endpoint until it dies, matching responses to
-// pending queries by ID.
+// pending queries by ID. It holds a pooled buffer (and message) only
+// while a response is in hand: an idle source parks in RecvPooled with
+// neither.
 func (c *Conn) readLoop(ep Endpoint) {
 	defer c.loops.Done()
-	bp := GetBuf()
-	defer PutBuf(bp)
-	buf := *bp
-	var m *dnsmsg.Msg
-	if c.cfg.OnResponseMsg != nil {
-		m = dnsmsg.GetMsg()
-		defer dnsmsg.PutMsg(m)
-	}
 	for {
-		n, err := ep.Recv(buf)
+		bp, n, err := RecvPooled(ep)
 		if err != nil {
 			// The endpoint closed (idle timer, peer, Close, or error). If
 			// it is still current, detach it and fail out its in-flight
@@ -221,30 +215,40 @@ func (c *Conn) readLoop(ep Endpoint) {
 			c.drop(dropped)
 			return
 		}
-		if n < 2 {
-			continue
+		c.deliver((*bp)[:n])
+		PutBuf(bp)
+	}
+}
+
+// deliver matches one received message to its pending query and runs
+// the response callbacks.
+func (c *Conn) deliver(wire []byte) {
+	if len(wire) < 2 {
+		return
+	}
+	id := uint16(wire[0])<<8 | uint16(wire[1])
+	c.mu.Lock()
+	p, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return
+	}
+	obsConnResponses.Inc()
+	rtt := time.Since(p.sentAt)
+	if c.cfg.OnResponse != nil {
+		c.cfg.OnResponse(p.token, rtt, wire)
+	}
+	if c.cfg.OnResponseMsg != nil {
+		m := dnsmsg.GetMsg()
+		if err := m.UnpackBuffer(wire); err != nil {
+			c.cfg.OnResponseMsg(p.token, rtt, nil)
+		} else {
+			c.cfg.OnResponseMsg(p.token, rtt, m)
 		}
-		id := uint16(buf[0])<<8 | uint16(buf[1])
-		c.mu.Lock()
-		p, ok := c.pending[id]
-		if ok {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if ok {
-			obsConnResponses.Inc()
-			rtt := time.Since(p.sentAt)
-			if c.cfg.OnResponse != nil {
-				c.cfg.OnResponse(p.token, rtt, buf[:n])
-			}
-			if c.cfg.OnResponseMsg != nil {
-				if err := m.UnpackBuffer(buf[:n]); err != nil {
-					c.cfg.OnResponseMsg(p.token, rtt, nil)
-				} else {
-					c.cfg.OnResponseMsg(p.token, rtt, m)
-				}
-			}
-		}
+		dnsmsg.PutMsg(m)
 	}
 }
 

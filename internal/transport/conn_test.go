@@ -49,7 +49,7 @@ func (e *fakeEndpoint) RemoteAddr() netip.AddrPort { return netip.AddrPort{} }
 func TestConnIDAllocationSkipsInFlight(t *testing.T) {
 	ep := newFakeEndpoint()
 	c := NewConn(ConnConfig{Dial: func() (Endpoint, error) { return ep, nil }})
-	defer c.Close()
+	defer func() { c.Close(); c.Wait() }()
 	wire := []byte{0, 0, 1, 2, 3, 4}
 
 	// Fill the entire ID space: every send must get a distinct ID.
@@ -90,7 +90,7 @@ func TestConnIdleCloseDropsPending(t *testing.T) {
 		IdleTimeout: 50 * time.Millisecond,
 		OnDrop:      func(tok any) { dropped <- tok },
 	})
-	defer c.Close()
+	defer func() { c.Close(); c.Wait() }()
 	wire := []byte{0, 0, 9, 9}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Send(wire, i); err != nil {
@@ -131,7 +131,7 @@ func TestConnWriteErrorFailsOver(t *testing.T) {
 		},
 		OnDrop: func(tok any) { mu.Lock(); dropped = append(dropped, tok); mu.Unlock() },
 	})
-	defer c.Close()
+	defer func() { c.Close(); c.Wait() }()
 	wire := []byte{0, 0, 5, 5}
 	if _, err := c.Send(wire, "a"); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,12 @@ package transport
 import (
 	"context"
 	"crypto/tls"
+	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
+	"syscall"
 	"time"
 
 	"ldplayer/internal/dnsmsg"
@@ -61,9 +64,12 @@ func (d *NetDialer) Dial(ctx context.Context, proto Proto, server netip.AddrPort
 }
 
 // packetEndpoint is a connected datagram socket: one Read is one DNS
-// message.
+// message. rd, where the platform has it, reads without holding a
+// buffer while the socket is empty; it is built by the first RecvPooled,
+// so one-shot exchanges (Recv only) never pay for it.
 type packetEndpoint struct {
 	conn net.Conn
+	rd   *udpReader
 }
 
 func (e *packetEndpoint) Send(msg []byte) error {
@@ -78,6 +84,15 @@ func (e *packetEndpoint) Recv(buf []byte) (int, error) {
 	return e.conn.Read(buf)
 }
 
+func (e *packetEndpoint) RecvPooled() (*[]byte, int, error) {
+	if e.rd == nil {
+		if e.rd = newUDPReader(e.conn); e.rd == nil {
+			return recvBorrowed(e)
+		}
+	}
+	return e.rd.recv()
+}
+
 func (e *packetEndpoint) SetDeadline(t time.Time) error { return e.conn.SetDeadline(t) }
 func (e *packetEndpoint) Close() error                  { return e.conn.Close() }
 func (e *packetEndpoint) LocalAddr() netip.AddrPort     { return AddrPortOf(e.conn.LocalAddr()) }
@@ -86,10 +101,13 @@ func (e *packetEndpoint) RemoteAddr() netip.AddrPort    { return AddrPortOf(e.co
 // streamEndpoint frames DNS messages on a byte stream with the 2-byte
 // length prefix (RFC 1035 §4.2.2, RFC 7858). Prefix and body go out in
 // one write from a pooled buffer — one segment on the wire (the Nagle
-// interaction the paper tunes away) and no per-message allocation.
+// interaction the paper tunes away) and no per-message allocation. A
+// reader blocks on the prefix alone (read into pfx, the one reader's
+// scratch) and needs body storage only once a message has begun.
 type streamEndpoint struct {
 	conn net.Conn
 	wmu  sync.Mutex
+	pfx  [2]byte
 }
 
 func (e *streamEndpoint) Send(msg []byte) error {
@@ -106,7 +124,30 @@ func (e *streamEndpoint) Send(msg []byte) error {
 }
 
 func (e *streamEndpoint) Recv(buf []byte) (int, error) {
-	return dnsmsg.ReadTCPMsgInto(e.conn, buf)
+	n, err := dnsmsg.ReadTCPLen(e.conn, &e.pfx)
+	if err != nil {
+		return 0, err
+	}
+	if n > len(buf) {
+		return 0, fmt.Errorf("%w: message of %d bytes exceeds %d-byte buffer", dnsmsg.ErrLengthPrefix, n, len(buf))
+	}
+	if err := dnsmsg.ReadTCPBody(e.conn, buf[:n]); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+func (e *streamEndpoint) RecvPooled() (*[]byte, int, error) {
+	n, err := dnsmsg.ReadTCPLen(e.conn, &e.pfx)
+	if err != nil {
+		return nil, 0, err
+	}
+	bp := GetBuf()
+	if err := dnsmsg.ReadTCPBody(e.conn, (*bp)[:n]); err != nil {
+		PutBuf(bp)
+		return nil, 0, err
+	}
+	return bp, n, nil
 }
 
 func (e *streamEndpoint) SetDeadline(t time.Time) error { return e.conn.SetDeadline(t) }
@@ -145,6 +186,32 @@ func ListenUDP(addr string) (net.PacketConn, netip.AddrPort, error) {
 		return nil, netip.AddrPort{}, err
 	}
 	return pc, AddrPortOf(pc.LocalAddr()), nil
+}
+
+// ListenUDPTCP binds a UDP socket and a TCP listener on one port, the
+// shape of a DNS server whose truncated answers fall back to TCP on the
+// same address. With port 0 the kernel picks the UDP port, which some
+// other socket may hold for TCP (an ephemeral client port, say); the
+// pair is then retried on a fresh port rather than failed.
+func ListenUDPTCP(addr string) (net.PacketConn, net.Listener, netip.AddrPort, error) {
+	_, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, nil, netip.AddrPort{}, err
+	}
+	for attempt := 1; ; attempt++ {
+		pc, ap, err := ListenUDP(addr)
+		if err != nil {
+			return nil, nil, netip.AddrPort{}, err
+		}
+		ln, err := net.Listen("tcp", ap.String())
+		if err == nil {
+			return pc, ln, ap, nil
+		}
+		pc.Close() //ldp:nolint errcheck — abandoning this port; the TCP bind error decides what happens next
+		if port != "0" || attempt == 8 || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, nil, netip.AddrPort{}, err
+		}
+	}
 }
 
 // ListenTCP binds a TCP listener and reports the bound address.

@@ -38,10 +38,12 @@ var (
 	obsConnResponses   = obs.Default.Counter("transport.conn.responses")
 
 	// Buffer pool economics: gets is every borrow, allocs the subset
-	// that had to allocate a fresh 64 KiB buffer. Hit rate is
-	// 1 - allocs/gets.
+	// that had to allocate a fresh 64 KiB buffer, puts every return.
+	// Hit rate is 1 - allocs/gets; gets-puts is the number of buffers
+	// currently borrowed (or leaked).
 	obsBufGets   = obs.Default.Counter("transport.bufpool.gets")
 	obsBufAllocs = obs.Default.Counter("transport.bufpool.allocs")
+	obsBufPuts   = obs.Default.Counter("transport.bufpool.puts")
 
 	// Message pool economics, exported on dnsmsg's behalf: dnsmsg sits
 	// below obs in the module order and keeps its own atomics, so the

@@ -13,7 +13,12 @@
 //     pending-query tracking, idle-timeout reuse and reconnect-on-error,
 //     parameterized by protocol (the replay querier's engine);
 //   - a sync.Pool of read/write buffers replacing per-call 64 KiB
-//     allocations on every hot path.
+//     allocations on every hot path, borrowed only while a message is in
+//     hand: RecvPooled waits for the next message holding no buffer (the
+//     stream prefix is read into the endpoint's own 2 bytes; connected
+//     UDP on linux reads inside the poller callback and hands the buffer
+//     back on EAGAIN), so an idle source costs its socket, its goroutine
+//     and its pending map, not 64 KiB.
 //
 // The paper's claim (§2.6, §4) that one framework drives UDP, TCP and
 // TLS workloads through the same pipeline is realized by this package:

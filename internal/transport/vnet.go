@@ -152,28 +152,44 @@ func (e *vnetEndpoint) Send(msg []byte) error {
 }
 
 func (e *vnetEndpoint) Recv(buf []byte) (int, error) {
-	for {
-		e.mu.Lock()
-		dl := e.deadline
-		e.mu.Unlock()
-		var timeout <-chan time.Time
-		if !dl.IsZero() {
-			wait := time.Until(dl)
-			if wait <= 0 {
-				return 0, ErrTimeout
-			}
-			t := time.NewTimer(wait)
-			defer t.Stop()
-			timeout = t.C
+	payload, err := e.next()
+	if err != nil {
+		return 0, err
+	}
+	return copy(buf, payload), nil
+}
+
+func (e *vnetEndpoint) RecvPooled() (*[]byte, int, error) {
+	payload, err := e.next()
+	if err != nil {
+		return nil, 0, err
+	}
+	bp := GetBuf()
+	return bp, copy(*bp, payload), nil
+}
+
+// next waits for the next delivered payload, the deadline or Close.
+func (e *vnetEndpoint) next() ([]byte, error) {
+	e.mu.Lock()
+	dl := e.deadline
+	e.mu.Unlock()
+	var timeout <-chan time.Time
+	if !dl.IsZero() {
+		wait := time.Until(dl)
+		if wait <= 0 {
+			return nil, ErrTimeout
 		}
-		select {
-		case pkt := <-e.recv:
-			return copy(buf, pkt.Payload), nil
-		case <-e.done:
-			return 0, ErrClosed
-		case <-timeout:
-			return 0, ErrTimeout
-		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case pkt := <-e.recv:
+		return pkt.Payload, nil
+	case <-e.done:
+		return nil, ErrClosed
+	case <-timeout:
+		return nil, ErrTimeout
 	}
 }
 

@@ -52,10 +52,11 @@ func Synthetic(cfg SyntheticConfig) *trace.Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := int(cfg.Duration / cfg.InterArrival)
 	tr := &trace.Trace{Events: make([]*trace.Event, 0, n)}
+	var b builder
 	for i := 0; i < n; i++ {
 		client := clientAddr(i % cfg.Clients)
 		name := dnsmsg.MustParseName(fmt.Sprintf("q%d.%s", i, cfg.Domain))
-		tr.Events = append(tr.Events, buildQuery(
+		tr.Events = append(tr.Events, b.query(
 			cfg.Start.Add(time.Duration(i)*cfg.InterArrival),
 			netip.AddrPortFrom(client, uint16(20000+rng.Intn(30000))),
 			name, dnsmsg.TypeA, false, trace.UDP))
@@ -253,7 +254,7 @@ func BRootModel(cfg BRootConfig) *trace.Trace {
 		secs = 1
 	}
 	tr := &trace.Trace{Events: make([]*trace.Event, 0, total)}
-	qi := 0
+	var b builder
 	for s := 0; s < secs; s++ {
 		phase := 2 * math.Pi * float64(s) / math.Max(60, float64(secs))
 		rate := cfg.MedianRate * (1 + cfg.RateWobble*math.Sin(phase) + 0.05*rng.NormFloat64())
@@ -268,10 +269,9 @@ func BRootModel(cfg BRootConfig) *trace.Trace {
 			ci := pickClient()
 			do := rng.Float64() < cfg.DOFraction
 			name, qtype := rootQuery(rng, tlds)
-			tr.Events = append(tr.Events, buildQuery(at,
+			tr.Events = append(tr.Events, b.query(at,
 				netip.AddrPortFrom(addrs[ci], ephemeralPort(rng)),
 				name, qtype, do, protos[ci]))
-			qi++
 		}
 	}
 	return tr
@@ -302,6 +302,7 @@ func RecModel(cfg RecConfig) *trace.Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mean := cfg.Duration.Seconds() / float64(cfg.Queries)
 	tr := &trace.Trace{Events: make([]*trace.Event, 0, cfg.Queries)}
+	var b builder
 	at := cfg.Start
 	for i := 0; i < cfg.Queries; i++ {
 		// Exponential inter-arrivals give the bursty look of real
@@ -314,7 +315,7 @@ func RecModel(cfg RecConfig) *trace.Trace {
 		} else {
 			name = dnsmsg.MustParseName(fmt.Sprintf("h%d.example%d.com.", i%8, rng.Intn(50)))
 		}
-		tr.Events = append(tr.Events, buildQuery(at,
+		tr.Events = append(tr.Events, b.query(at,
 			netip.AddrPortFrom(clientAddr(zipfIndex(rng, cfg.Clients)), ephemeralPort(rng)),
 			name, pickQType(rng), rng.Float64() < 0.5, trace.UDP))
 	}
@@ -388,16 +389,60 @@ func zipfIndex(rng *rand.Rand, n int) int {
 	return int(u * u * float64(n))
 }
 
-func buildQuery(at time.Time, src netip.AddrPort, name dnsmsg.Name, qtype dnsmsg.Type, do bool, proto trace.Proto) *trace.Event {
-	var m dnsmsg.Msg
-	m.ID = uint16(at.UnixNano())
-	m.SetQuestion(name, qtype)
+// Slab sizes for generated traces: one wire slab holds ≈ 1400 queries
+// and one event chunk 1024 events, so a 400 k-query trace costs a few
+// hundred allocations instead of two per query.
+const (
+	wireSlab   = 64 << 10
+	eventChunk = 1024
+)
+
+// builder packs generated queries exact-size into shared slabs. One
+// reused Msg packs each query into scratch (PackBuffer: no per-query
+// buffer or compression map); the wire is copied into a byte slab as a
+// cap-limited sub-slice, so an in-place SetID or an append on one event
+// can never touch its neighbour; the Event itself comes out of an
+// []trace.Event chunk. A query thus costs its ≈ 45 wire bytes and one
+// Event slot — not Pack's 512-byte buffer plus a separate *Event. A
+// retained event keeps its chunk and slab alive, which is the trace's
+// own lifetime anyway. The zero value is ready to use.
+type builder struct {
+	m       dnsmsg.Msg
+	scratch []byte
+	edns    []dnsmsg.RR // the one OPT record DO queries carry, built once
+	wire    []byte
+	events  []trace.Event
+}
+
+// query builds one event. Its bytes equal those of a fresh Msg with the
+// same fields through Pack, so traces stay byte-identical per seed.
+func (b *builder) query(at time.Time, src netip.AddrPort, name dnsmsg.Name, qtype dnsmsg.Type, do bool, proto trace.Proto) *trace.Event {
+	b.m.ID = uint16(at.UnixNano())
+	b.m.SetQuestion(name, qtype) // clears Additional
 	if do {
-		m.SetEDNS(4096, true)
+		if b.edns == nil {
+			var opt dnsmsg.Msg
+			opt.SetEDNS(4096, true)
+			b.edns = opt.Additional
+		}
+		b.m.Additional = b.edns
 	}
-	wire, err := m.Pack()
+	wire, err := b.m.PackBuffer(b.scratch[:0])
 	if err != nil {
 		panic(err) // generated names are always packable
 	}
-	return &trace.Event{Time: at, Src: src, Dst: ServerAddr, Proto: proto, Wire: wire}
+	b.scratch = wire
+	if cap(b.wire)-len(b.wire) < len(wire) {
+		b.wire = make([]byte, 0, max(wireSlab, len(wire)))
+	}
+	off := len(b.wire)
+	b.wire = append(b.wire, wire...)
+	if len(b.events) == cap(b.events) {
+		b.events = make([]trace.Event, 0, eventChunk)
+	}
+	b.events = append(b.events, trace.Event{
+		Time: at, Src: src, Dst: ServerAddr, Proto: proto,
+		Wire: b.wire[off:len(b.wire):len(b.wire)],
+	})
+	return &b.events[len(b.events)-1]
 }
