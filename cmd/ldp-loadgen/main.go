@@ -8,8 +8,8 @@
 // the counters and histograms are the replay.* series every other tool
 // reports. Closed loop (default) measures the server's service rate:
 // -conc queries are kept outstanding through the FastAsPossible plane.
-// Open loop (-qps) replays a fixed-rate schedule over -conc source
-// sockets whether or not responses return — the paper's replay
+// Open loop (-qps) replays a fixed-rate schedule from -conc trace
+// sources whether or not responses return — the paper's replay
 // discipline — and times each query from its intended send.
 //
 // Usage:
@@ -63,7 +63,7 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.target, "target", "127.0.0.1:5300", "server UDP address")
 	flag.Float64Var(&opts.qps, "qps", 0, "open-loop aggregate send rate (0 = closed loop)")
-	flag.IntVar(&opts.conc, "conc", runtime.GOMAXPROCS(0), "query sources: sockets with -qps, queries kept outstanding without")
+	flag.IntVar(&opts.conc, "conc", runtime.GOMAXPROCS(0), "query sources: trace source addresses with -qps, queries kept outstanding without")
 	flag.DurationVar(&opts.duration, "duration", 0, "stop after this long (0 = until -count)")
 	flag.IntVar(&opts.count, "count", 0, "stop after this many queries (0 = until -duration)")
 	flag.DurationVar(&opts.timeout, "timeout", 2*time.Second, "per-query response timeout")

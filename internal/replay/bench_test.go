@@ -143,7 +143,7 @@ func benchReplay(b *testing.B, cfg Config, reference bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 }
 
-func fastConfig(server netip.AddrPort, dialer transport.Dialer) Config {
+func fastConfig(server netip.AddrPort, dialer transport.PacketDialer) Config {
 	return Config{
 		Server:                 server,
 		Mode:                   FastAsPossible,
@@ -189,10 +189,11 @@ func BenchmarkReplayFastUDPLoopbackReference(b *testing.B) {
 	benchReplay(b, fastConfig(ap, nil), true)
 }
 
-// BenchmarkReplayTimed drives the Timed plane (deadline pacer,
-// per-source Conns) with a schedule that is always behind wall clock, so
-// the benchmark measures data-plane overhead — the pacer's already-due
-// check included, sleeping excluded (BenchmarkPacerSleep has that).
+// BenchmarkReplayTimed drives the Timed plane (deadline pacer, the
+// querier's one UDP sender) with a schedule that is always behind wall
+// clock, so the benchmark measures data-plane overhead — the pacer's
+// already-due check included, sleeping excluded (BenchmarkPacerSleep
+// has that).
 func BenchmarkReplayTimed(b *testing.B) {
 	ap, stop := startEchoSink(b)
 	defer stop()

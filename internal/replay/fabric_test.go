@@ -28,6 +28,9 @@ type echoFabric struct {
 	// the way a kernel refuses one inside sendmmsg: WriteBatch counts
 	// them out of its result and nothing is delivered.
 	refuse int
+	// truncate, if positive, cuts every reflected datagram to at most
+	// that many bytes: a server answering with less than a DNS header.
+	truncate int
 }
 
 // Dial implements transport.Dialer for the reference plane: a
@@ -48,7 +51,7 @@ func (echoFabric) Dial(_ context.Context, proto transport.Proto, _ netip.AddrPor
 // plane: an unconnected socket whose native batch path moves one
 // response batch per hand-off.
 func (f echoFabric) ListenPacketConn() (net.PacketConn, error) {
-	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{}), refuse: f.refuse}, nil
+	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{}), refuse: f.refuse, truncate: f.truncate}, nil
 }
 
 type echoBuf struct {
@@ -150,6 +153,7 @@ type echoPacketConn struct {
 	done      chan struct{}
 	closeOnce sync.Once
 	refuse    int // datagrams still to refuse; writer goroutine only
+	truncate  int
 }
 
 // WriteBatch reflects every datagram into one queued response batch —
@@ -173,6 +177,9 @@ func (c *echoPacketConn) WriteBatch(ms []transport.Datagram) (int, error) {
 		d.Buf = append(d.Buf[:0], ms[i].Buf...)
 		if len(d.Buf) >= 3 {
 			d.Buf[2] |= 0x80
+		}
+		if c.truncate > 0 && len(d.Buf) > c.truncate {
+			d.Buf = d.Buf[:c.truncate]
 		}
 		d.N = len(d.Buf)
 		d.Addr = ms[i].Addr

@@ -14,7 +14,7 @@ import (
 )
 
 // newPacedQuerier builds an unstarted querier whose pacer is live: the
-// sleeper runTimed would open, and realStart now.
+// sleeper a Timed send loop would open, and realStart now.
 func newPacedQuerier(tb testing.TB) *querier {
 	tb.Helper()
 	cfg := Config{Server: fabricServer}.withDefaults()
@@ -42,7 +42,7 @@ func TestPacerAccuracy(t *testing.T) {
 	errs := make([]time.Duration, 0, n)
 	for i := 1; i <= n; i++ {
 		offset := time.Duration(i) * gap
-		if !q.sleepUntil(offset) {
+		if _, ok := q.sleepUntil(offset); !ok {
 			t.Fatal("sleepUntil returned early without cancellation")
 		}
 		lag := time.Since(q.realStart) - offset
@@ -64,7 +64,7 @@ func TestPacerAccuracy(t *testing.T) {
 	if woke == 0 || woke > n || sleeps < woke {
 		t.Errorf("pacer.sleeps=%d oversleep samples=%d over %d deadlines", sleeps, woke, n)
 	}
-	if !q.sleepUntil(gap) || q.st.pacerSleeps.Value() != sleeps {
+	if _, ok := q.sleepUntil(gap); !ok || q.st.pacerSleeps.Value() != sleeps {
 		t.Error("a query already due must pass without arming the timer")
 	}
 }

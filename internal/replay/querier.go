@@ -11,14 +11,15 @@ import (
 	"ldplayer/internal/transport"
 )
 
-// querier is the bottom of the distribution tree: it owns the per-source
-// connections, emulates query sources, schedules sends against the trace
-// timeline and matches responses. One goroutine runs the send loop over
-// inbound batches; responses arrive on transport.Conn read loops (Timed,
-// and non-UDP in fast mode) or the udpSender's recvmmsg loop
-// (FastAsPossible UDP). The send path is lock-free: results live in a
-// single-writer chunked log, outstanding-query tracking is one atomic,
-// and drain blocks on a notification instead of polling.
+// querier is the bottom of the distribution tree: it emulates query
+// sources, schedules sends against the trace timeline and matches
+// responses. One goroutine runs the send loop over inbound batches. UDP
+// queries go out through the querier's one udpSender (sendmmsg, answers
+// on its recvmmsg loop); stream queries on their source's own
+// transport.Conn, whose read loop answers them. The send path is
+// lock-free: results live in a single-writer chunked log,
+// outstanding-query tracking is one atomic, and drain blocks on a
+// notification instead of polling.
 type querier struct {
 	in  chan *batch
 	cfg Config
@@ -32,17 +33,16 @@ type querier struct {
 	realStart  time.Time
 	// lastOffset supports the naive-timing ablation.
 	lastOffset time.Duration
-	// sleeper is what Timed sends are paced on; runTimed owns it.
+	// sleeper is what Timed sends are paced on; run owns it.
 	sleeper *transport.Sleeper
 
-	// One transport.Conn per emulated (source, protocol).
+	// One transport.Conn per emulated (source, stream protocol).
 	conns map[connKey]*transport.Conn
-	// fast is the sendmmsg data plane, created on the first
-	// FastAsPossible UDP query. Real sockets by default; a Dialer
-	// override keeps the Conn path unless the dialer is a
-	// transport.PacketDialer, whose fabric vends the shared socket.
-	fast    *udpSender
-	fastErr bool // sender creation failed once; don't retry per query
+	// udp is the UDP sender, opened on the first UDP query; noUDP records
+	// that opening it failed, so the run's UDP queries are send errors
+	// rather than one socket attempt each.
+	udp   *udpSender
+	noUDP bool
 
 	// inflight counts queries sent but not yet answered or dropped;
 	// drainCh gets a token when it hits zero so drain() can block
@@ -89,69 +89,108 @@ func (q *querier) sync(traceStart, realStart time.Time) {
 	})
 }
 
+// run is the one send loop of both modes, then the drain: FastAsPossible
+// is Timed with every offset already due. Paced, each query waits for
+// its offset and is stamped with the clock reading the pacer took;
+// unpaced, one reading stamps a whole inbound batch. UDP queries are
+// staged into the sender, which flushes on one rule: when its batch is
+// full, before the querier parks or sends on a stream (a dial can block;
+// this also keeps a mixed-protocol source in order), and when the
+// inbound channel goes idle.
 func (q *querier) run(ctx context.Context) {
-	if q.cfg.Mode == FastAsPossible {
-		q.runFast(ctx)
-	} else {
-		q.runTimed(ctx)
+	paced := q.cfg.Mode == Timed
+	if paced {
+		var err error
+		if q.sleeper, err = transport.NewSleeper(ctx); err != nil {
+			q.st.pacerFallback.Inc() // timerfd refused: the run is late, not wrong
+		}
+		defer q.sleeper.Close()
 	}
-	q.drain()
-}
-
-// runTimed holds each query to its exact trace offset (sleepUntil). The
-// naive ablation keeps its historical shape — a raw gap sleep per query
-// on the same sleeper — so the drift it exists to demonstrate is
-// untouched.
-func (q *querier) runTimed(ctx context.Context) {
-	var err error
-	if q.sleeper, err = transport.NewSleeper(ctx); err != nil {
-		q.st.pacerFallback.Inc() // timerfd refused: the run is late, not wrong
-	}
-	defer q.sleeper.Close()
+	var now time.Time
 	for b := range q.in {
+		if !paced {
+			now = time.Now()
+		}
 		for i := range b.items {
 			it := b.items[i]
 			if ctx.Err() != nil {
 				continue // drain without sending
 			}
-			if q.cfg.NaiveTiming {
-				// Ablation: sleep the raw gap since the previous query,
-				// ignoring time already consumed — drift accumulates.
-				wait := it.offset - q.lastOffset
-				q.lastOffset = it.offset
-				if wait > 0 && !q.sleep(wait) {
+			if paced {
+				var ok bool
+				if now, ok = q.pace(it.offset); !ok {
 					continue
 				}
-			} else if !q.sleepUntil(it.offset) {
-				continue
 			}
-			q.send(it)
+			if it.ev.Proto == trace.UDP {
+				q.stage(it, now)
+			} else {
+				q.flush()
+				q.send(it, now)
+			}
 		}
 		putBatch(b)
+		if len(q.in) == 0 {
+			q.flush() // inbound went idle: don't sit on staged queries
+		}
 	}
+	q.flush()
+	q.drain()
 }
 
-// sleepUntil is the Timed pacer: it blocks until offset past realStart,
-// returning false if the context ended first, and never returns early —
-// after any wake it re-reads the clock and waits out the remainder. A
-// query already due passes without touching the timer, so a lane running
-// behind pays nothing and queries due together share one wake. Measuring
-// from the controller's realStart absorbs the time input processing and
+// pace holds a query to its trace offset and returns the clock reading
+// to stamp it with, or false if the context ended first. The naive
+// ablation keeps its historical shape — a raw gap sleep per query on
+// the same sleeper — so the drift it exists to demonstrate is untouched.
+func (q *querier) pace(offset time.Duration) (time.Time, bool) {
+	if !q.cfg.NaiveTiming {
+		return q.sleepUntil(offset)
+	}
+	// Ablation: sleep the raw gap since the previous query, ignoring
+	// time already consumed — drift accumulates.
+	wait := offset - q.lastOffset
+	q.lastOffset = offset
+	if wait > 0 {
+		q.flush()
+		if !q.sleep(wait) {
+			return time.Time{}, false
+		}
+	}
+	return time.Now(), true
+}
+
+// sleepUntil is the Timed pacer: it blocks until offset past realStart
+// and returns the clock reading it woke with, reporting false if the
+// context ended first. It never returns early — after any wake it
+// re-reads the clock and waits out the remainder. A query already due
+// passes without touching the timer, so a lane running behind pays one
+// clock read and queries due together share one wake. Measuring from
+// the controller's realStart absorbs the time input processing and
 // distribution took: the paper's compensation, ΔTᵢ = Δt̄ᵢ − Δtᵢ.
-func (q *querier) sleepUntil(offset time.Duration) bool {
+func (q *querier) sleepUntil(offset time.Duration) (time.Time, bool) {
 	deadline := q.realStart.Add(offset)
-	wait := time.Until(deadline)
+	now := time.Now()
+	if !now.Before(deadline) {
+		return now, true
+	}
+	// Staged datagrams go out before the querier parks, so no query
+	// waits on a later one's deadline; the write's time comes off the
+	// wait, not on top of it.
+	q.flush()
+	now = time.Now()
+	wait := deadline.Sub(now)
 	if wait <= 0 {
-		return true
+		return now, true
 	}
 	for wait > 0 {
 		if !q.sleep(wait) {
-			return false
+			return now, false
 		}
-		wait = time.Until(deadline)
+		now = time.Now()
+		wait = deadline.Sub(now)
 	}
 	q.st.pacerOversleep.ObserveDuration(-wait)
-	return true
+	return now, true
 }
 
 // sleep blocks for d: one timer arm.
@@ -160,76 +199,31 @@ func (q *querier) sleep(d time.Duration) bool {
 	return q.sleeper.Sleep(d)
 }
 
-// runFast sends as fast as the pipeline moves. UDP queries coalesce
-// into pooled datagram batches flushed through sendmmsg; stream
-// protocols fall through to the per-source Conn path. The pooled
-// transport batch is a function local on purpose: its lifetime is
-// exactly this loop, never stored.
-func (q *querier) runFast(ctx context.Context) {
-	msp := transport.GetBatch()
-	defer transport.PutBatch(msp)
-	ms := *msp
-	fill := 0
-	for b := range q.in {
-		// One clock read covers the whole batch's send timestamps; see
-		// stage for the precision argument.
-		now := time.Now()
-		nowNs := now.UnixNano()
-		for i := range b.items {
-			it := b.items[i]
-			if ctx.Err() != nil {
-				continue
-			}
-			if it.ev.Proto == trace.UDP && q.fastSender() != nil {
-				fill = q.fast.stage(ms, fill, it, now, nowNs)
-				if fill == len(ms) {
-					q.fast.flush(ms)
-					fill = 0
-				}
-			} else {
-				q.send(it)
-			}
-		}
-		putBatch(b)
-		if fill > 0 && len(q.in) == 0 {
-			// Inbound went idle: don't sit on staged queries.
-			q.fast.flush(ms[:fill])
-			fill = 0
-		}
+// stage hands one UDP query to the sender, opening it on first use.
+func (q *querier) stage(it item, now time.Time) {
+	if q.udp == nil && !q.noUDP {
+		var err error
+		q.udp, err = newUDPSender(q)
+		q.noUDP = err != nil
 	}
-	if fill > 0 {
-		q.fast.flush(ms[:fill])
+	if q.udp == nil {
+		q.st.sendErrs.Inc() // no socket to send it on
+		return
+	}
+	q.udp.stage(it, now)
+}
+
+// flush sends whatever UDP queries are staged.
+func (q *querier) flush() {
+	if q.udp != nil {
+		q.udp.flush()
 	}
 }
 
-// fastSender lazily builds the sendmmsg plane; nil means this config
-// (or a socket failure) keeps UDP on the Conn path.
-func (q *querier) fastSender() *udpSender {
-	if q.fast != nil {
-		return q.fast
-	}
-	if q.fastErr {
-		return nil
-	}
-	if q.cfg.Dialer != nil {
-		if _, ok := q.cfg.Dialer.(transport.PacketDialer); !ok {
-			return nil
-		}
-	}
-	s, err := newUDPSender(q)
-	if err != nil {
-		q.fastErr = true
-		return nil
-	}
-	q.fast = s
-	return s
-}
-
-// send dispatches one query on the right connection for its source. The
+// send dispatches one stream query on its source's connection. The
 // result slot is reserved before the write so a response racing back on
 // loopback always finds it.
-func (q *querier) send(it item) {
-	now := time.Now()
+func (q *querier) send(it item, now time.Time) {
 	idx := -1
 	var slot *QueryResult
 	if !q.cfg.DropResults {
@@ -244,7 +238,7 @@ func (q *querier) send(it item) {
 	}
 	c := q.connFor(it.ev.Src.Addr(), it.ev.Proto)
 	fresh, err := c.Send(it.ev.Wire, idx)
-	if slot != nil && it.ev.Proto != trace.UDP {
+	if slot != nil {
 		slot.FreshConn = fresh
 	}
 	if err != nil {
@@ -257,7 +251,7 @@ func (q *querier) send(it item) {
 	q.st.sent.Inc()
 	q.st.bytesSent.Add(uint64(len(it.ev.Wire)))
 	q.st.observeSend(it.offset, now.Sub(q.realStart))
-	if fresh && it.ev.Proto != trace.UDP {
+	if fresh {
 		q.st.connsOpened.Inc()
 	}
 	q.inflight.Add(1)
@@ -303,9 +297,9 @@ func (q *querier) notifyDrain() {
 }
 
 // drain waits for outstanding responses — woken by the read loops, not
-// polling — then closes the connections (failing stragglers out through
-// recordDrop) and waits for their read loops so report() runs against
-// quiesced storage.
+// polling — then closes the sender and the connections (failing
+// stragglers out as timeouts) and waits for their read loops so
+// report() runs against quiesced storage.
 func (q *querier) drain() {
 	deadline := time.NewTimer(q.cfg.ResponseTimeout)
 	defer deadline.Stop()
@@ -317,8 +311,8 @@ wait:
 			break wait
 		}
 	}
-	if q.fast != nil {
-		q.fast.close()
+	if q.udp != nil {
+		q.udp.close()
 	}
 	for _, c := range q.conns {
 		c.Close()

@@ -253,12 +253,26 @@ func (q *refQuerier) send(it item) {
 	q.lastSend = now
 }
 
+// connFor is the engine's per-source connection, except that a UDP
+// source gets one too: a connected socket of its own that never idles
+// out, as the engine's queriers had before they shared one UDP sender.
 func (q *refQuerier) connFor(src netip.Addr, proto trace.Proto) *transport.Conn {
 	key := connKey{src: src, proto: proto}
 	if c := q.conns[key]; c != nil {
 		return c
 	}
-	c := newSourceConn(q.cfg, q.st, proto, q.recordResponse, q.recordDrop)
+	dial, idle := streamDial(q.cfg, proto), q.cfg.ConnIdleTimeout
+	if proto == trace.UDP {
+		var d transport.Dialer = q.cfg.Dialer
+		if q.cfg.Dialer == nil {
+			d = &transport.NetDialer{}
+		}
+		dial = func() (transport.Endpoint, error) {
+			return d.Dial(context.Background(), transport.UDP, q.cfg.Server)
+		}
+		idle = 0
+	}
+	c := newSourceConn(q.st, dial, idle, q.recordResponse, q.recordDrop)
 	q.conns[key] = c
 	return c
 }

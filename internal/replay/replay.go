@@ -5,9 +5,10 @@
 // sockets with connection reuse. Queries are scheduled against the
 // original trace timeline by continuously compensating accumulated
 // pipeline delay (ΔTᵢ = Δt̄ᵢ − Δtᵢ); fast mode drops timing for load
-// tests. Same-source queries stick to the same querier and the same
-// socket, the dependency the paper preserves because it drives
-// DNS-over-TCP connection reuse.
+// tests. Same-source queries stick to the same querier, in trace order:
+// a stream source keeps its own connection, the dependency the paper
+// preserves because it drives DNS-over-TCP connection reuse, while UDP
+// queries of every source on a querier share its one socket.
 package replay
 
 import (
@@ -82,10 +83,11 @@ type Config struct {
 	// registry so concurrent engines account independently. The Report
 	// is always per-run either way.
 	Obs *obs.Registry
-	// Dialer overrides how queriers open endpoints — e.g. a
-	// transport.VNetHost replays onto the in-process vnet fabric. Nil
-	// dials real sockets.
-	Dialer transport.Dialer
+	// Dialer overrides how queriers open sockets — e.g. a
+	// transport.VNetHost replays onto the in-process vnet fabric: each
+	// querier's UDP socket comes from ListenPacketConn, each stream
+	// source's connection from Dial. Nil opens real sockets.
+	Dialer transport.PacketDialer
 }
 
 func (c Config) withDefaults() Config {
@@ -140,9 +142,9 @@ type Report struct {
 	Timeouts  uint64
 	// ConnsOpened counts TCP/TLS connections the queriers created.
 	ConnsOpened uint64
-	// IDExhausted counts sends refused because a connection had all
-	// 65536 DNS query IDs in flight (the trace outran the server by a
-	// full ID space on one source).
+	// IDExhausted counts stream sends refused because a connection had
+	// all 65536 DNS query IDs in flight (the trace outran the server by
+	// a full ID space on one source); UDP never refuses (see udpSender).
 	IDExhausted uint64
 	// Duration is wall-clock time from first to last send.
 	Duration time.Duration

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -11,14 +10,15 @@ import (
 	"ldplayer/internal/transport"
 )
 
-// Each emulated query source gets its own connection, so the server
+// Each emulated stream source gets its own connection, so the server
 // observes distinct (address, port) client endpoints and per-source
 // connection reuse works exactly as in the paper (§2.6). Query-ID
 // rewriting, pending tracking, idle-timeout reuse and reconnect-on-error
 // all live in transport.Conn; this file only maps trace sources onto
 // Conns and wires querier accounting into the Conn callbacks — shared
 // with the tests' reference querier, so the two planes differ only in
-// scheduling, never in connection semantics.
+// scheduling, never in connection semantics. UDP has no connection to
+// reuse and goes through the querier's one sender (udpsender.go).
 
 // connKey identifies one emulated source connection: sources that mix
 // protocols (rare in real traces, common in tests) get one connection
@@ -28,13 +28,15 @@ type connKey struct {
 	proto trace.Proto
 }
 
-// newSourceConn builds the transport.Conn for one emulated source.
-// Tokens are resultLog/results indexes (-1 when results are dropped);
-// onResponse and onDrop are the querier's accounting hooks.
-func newSourceConn(cfg Config, st *stats, proto trace.Proto,
+// newSourceConn builds the transport.Conn for one emulated source over
+// dial, closed after idle without sends (0: never). Tokens are
+// resultLog/results indexes (-1 when results are dropped); onResponse
+// and onDrop are the querier's accounting hooks.
+func newSourceConn(st *stats, dial func() (transport.Endpoint, error), idle time.Duration,
 	onResponse func(idx int, rtt time.Duration), onDrop func()) *transport.Conn {
-	ccfg := transport.ConnConfig{
-		Dial: dialFunc(cfg, proto),
+	return transport.NewConn(transport.ConnConfig{
+		Dial:        dial,
+		IdleTimeout: idle,
 		OnResponse: func(token any, rtt time.Duration, _ []byte) {
 			onResponse(token.(int), rtt)
 		},
@@ -50,11 +52,7 @@ func newSourceConn(cfg Config, st *stats, proto trace.Proto,
 			st.countRcode(m.Rcode)
 		},
 		OnDrop: func(any) { onDrop() },
-	}
-	if proto != trace.UDP {
-		ccfg.IdleTimeout = cfg.ConnIdleTimeout
-	}
-	return transport.NewConn(ccfg)
+	})
 }
 
 // connFor returns (creating on first use) the connection for a source.
@@ -63,34 +61,25 @@ func (q *querier) connFor(src netip.Addr, proto trace.Proto) *transport.Conn {
 	if c := q.conns[key]; c != nil {
 		return c
 	}
-	c := newSourceConn(q.cfg, q.st, proto, q.recordResponse, q.recordDrop)
+	c := newSourceConn(q.st, streamDial(q.cfg, proto), q.cfg.ConnIdleTimeout, q.recordResponse, q.recordDrop)
 	q.conns[key] = c
 	return c
 }
 
-// dialFunc builds the per-protocol dialer a source connection uses.
+// streamDial builds the dialer a TCP or TLS source connection uses.
 // Config.Dialer substitutes the endpoint fabric (e.g. vnet) without the
-// querier knowing; real sockets are the default.
-func dialFunc(cfg Config, proto trace.Proto) func() (transport.Endpoint, error) {
-	dialer := cfg.Dialer
-	if dialer == nil {
+// querier knowing; real sockets are the default, and a TLS query
+// without Config.TLSConfig fails its dial (transport.ErrNoTLSConfig).
+func streamDial(cfg Config, proto trace.Proto) func() (transport.Endpoint, error) {
+	var dialer transport.Dialer = cfg.Dialer
+	if cfg.Dialer == nil {
 		dialer = &transport.NetDialer{TLSConfig: cfg.TLSConfig}
 	}
-	switch proto {
-	case trace.UDP:
-		return func() (transport.Endpoint, error) {
-			return dialer.Dial(context.Background(), transport.UDP, cfg.Server)
-		}
-	case trace.TLS:
-		return func() (transport.Endpoint, error) {
-			if cfg.Dialer == nil && cfg.TLSConfig == nil {
-				return nil, fmt.Errorf("replay: TLS query but no TLS config")
-			}
-			return dialer.Dial(context.Background(), transport.TLS, cfg.TLSServer)
-		}
-	default:
-		return func() (transport.Endpoint, error) {
-			return dialer.Dial(context.Background(), transport.TCP, cfg.Server)
-		}
+	tp, server := transport.TCP, cfg.Server
+	if proto == trace.TLS {
+		tp, server = transport.TLS, cfg.TLSServer
+	}
+	return func() (transport.Endpoint, error) {
+		return dialer.Dial(context.Background(), tp, server)
 	}
 }

@@ -13,13 +13,13 @@ import (
 	"ldplayer/internal/transport"
 )
 
-// udpSender is the FastAsPossible UDP data plane: one unconnected
-// socket per querier, sends coalesced into transport.UDPBatch writes
-// (sendmmsg on Linux — one syscall per ~32 queries), responses matched
-// by a lock-free DNS-ID slot table instead of transport.Conn's pending
-// map. Per-source sockets don't matter in fast mode — it exists to
-// measure server-side throughput (§4.3), not client fidelity — so the
-// whole querier shares one 65536-wide ID space and one 4-tuple.
+// udpSender is the querier's UDP data plane in both pacing modes: one
+// unconnected socket, sends coalesced into transport.UDPBatch writes
+// (sendmmsg on Linux — one syscall per up to 32 queries), responses
+// matched by a lock-free DNS-ID slot table instead of transport.Conn's
+// pending map. UDP reuses nothing across queries, so the whole querier
+// shares one 65536-wide ID space and one 4-tuple (DESIGN.md "Replay
+// data plane" states the client-port fidelity this gives up).
 //
 // Slot protocol: sendNs[id] holds the send time in unix nanos and
 // doubles as the liveness marker. The sender zeroes the slot, stores
@@ -37,6 +37,12 @@ type udpSender struct {
 	resIdx []atomic.Int64 // 65536: resultLog index for the slot, -1 = none
 	nextID uint32         // querier goroutine only
 
+	// out[:fill] are the staged datagrams (querier goroutine only), in
+	// the sender's own storage: each slot's Buf grows to the largest
+	// query it has carried and is reused.
+	out  []transport.Datagram
+	fill int
+
 	// Per-flush accumulators (querier goroutine only): shared counters,
 	// the send-lag histogram and the inflight atomic are touched once
 	// per batch, not per query.
@@ -53,22 +59,18 @@ type udpSender struct {
 	readerWG sync.WaitGroup
 }
 
+// newUDPSender opens the querier's socket — Config.Dialer's, or a real
+// one — and starts its read loop.
 func newUDPSender(q *querier) (*udpSender, error) {
 	var pc net.PacketConn
-	if pd, ok := q.cfg.Dialer.(transport.PacketDialer); ok {
-		// Injected fabric (vnet, test harnesses): the dialer vends the
-		// shared socket and UDPBatch rides its batch path if it has one.
-		c, err := pd.ListenPacketConn()
-		if err != nil {
-			return nil, err
-		}
-		pc = c
+	var err error
+	if q.cfg.Dialer != nil {
+		pc, err = q.cfg.Dialer.ListenPacketConn()
 	} else {
-		c, err := transport.ListenUDPUnconnected(q.cfg.Server)
-		if err != nil {
-			return nil, err
-		}
-		pc = c
+		pc, err = transport.ListenUDPUnconnected(q.cfg.Server)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s := &udpSender{
 		q:        q,
@@ -77,6 +79,7 @@ func newUDPSender(q *querier) (*udpSender, error) {
 		dst:      q.cfg.Server,
 		sendNs:   make([]atomic.Int64, 1<<16),
 		resIdx:   make([]atomic.Int64, 1<<16),
+		out:      make([]transport.Datagram, transport.BatchLen),
 		lagBatch: q.st.sendLag.NewBatch(),
 	}
 	s.readerWG.Add(1)
@@ -84,15 +87,15 @@ func newUDPSender(q *querier) (*udpSender, error) {
 	return s, nil
 }
 
-// stage copies one query into ms[fill] with a fresh DNS ID patched in,
-// registers its slot, and returns the new fill level. The caller owns
-// ms (a pooled transport batch held as a local) and flushes when full.
+// stage copies one query into the next batch slot with a fresh DNS ID
+// patched in, registers its slot, and flushes when the batch is full.
 //
-// The clock (now, nowNs) is read once per inbound batch by the caller:
+// now is the query's send timestamp. Paced, it is the clock reading the
+// pacer woke with; unpaced, one reading covers a whole inbound batch:
 // at millions of qps a staged batch spans microseconds, well inside the
 // send-timestamp precision the results claim, and the per-query vDSO
 // call was one of the largest single costs on the old send path.
-func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.Time, nowNs int64) int {
+func (s *udpSender) stage(it item, now time.Time) {
 	idx := int64(-1)
 	wall := now.Sub(s.q.realStart)
 	if !s.q.cfg.DropResults {
@@ -114,11 +117,11 @@ func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.T
 		s.expire()
 	}
 	s.resIdx[id].Store(idx)
-	d := &ms[fill]
+	d := &s.out[s.fill]
 	d.Buf = append(d.Buf[:0], it.ev.Wire...)
 	d.Buf[0], d.Buf[1] = byte(id>>8), byte(id)
 	d.Addr = s.dst
-	s.sendNs[id].Store(nowNs)
+	s.sendNs[id].Store(now.UnixNano())
 	// Every sample still lands in the histograms, but through local
 	// batch accumulators; counters, gauges and the inflight atomic are
 	// likewise deferred to flush, one update per batch.
@@ -130,7 +133,13 @@ func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.T
 	s.pendBytes += uint64(len(it.ev.Wire))
 	s.pendCount++
 	s.lastOffset, s.lastWall = it.offset, wall
-	return fill + 1
+	if s.q.firstSend.IsZero() {
+		s.q.firstSend = now
+	}
+	s.q.lastSend = now
+	if s.fill++; s.fill == len(s.out) {
+		s.flush()
+	}
 }
 
 // flush hands the staged datagrams to the kernel and settles the
@@ -138,10 +147,12 @@ func (s *udpSender) stage(ms []transport.Datagram, fill int, it item, now time.T
 // (WriteBatch skips per-datagram failures) are send errors, settled
 // here and now: drain must not wait on them, and the sweeps that later
 // find their slots live must not call them timeouts as well.
-func (s *udpSender) flush(ms []transport.Datagram) {
-	if len(ms) == 0 {
+func (s *udpSender) flush() {
+	if s.fill == 0 {
 		return
 	}
+	ms := s.out[:s.fill]
+	s.fill = 0
 	// Inflight rises before the write: a response can race back the
 	// moment WriteBatch releases the datagrams.
 	s.q.inflight.Add(s.pendCount)
@@ -150,7 +161,6 @@ func (s *udpSender) flush(ms []transport.Datagram) {
 	s.q.st.wallOffset.Set(s.lastWall.Seconds())
 	s.lagBatch.Flush()
 	s.pendBytes, s.pendCount = 0, 0
-	now := time.Now()
 	//ldp:nolint errcheck — a fatal write error surfaces as n < len(ms); the shortfall is counted into sendErrs below either way
 	n, _ := s.wb.WriteBatch(ms)
 	s.q.st.sent.Add(uint64(n))
@@ -159,10 +169,6 @@ func (s *udpSender) flush(ms []transport.Datagram) {
 		s.q.inflight.Add(int64(-short))
 		s.refused += short
 	}
-	if s.q.firstSend.IsZero() {
-		s.q.firstSend = now
-	}
-	s.q.lastSend = now
 }
 
 // readLoop drains responses in batches (recvmmsg) until the socket
@@ -185,8 +191,8 @@ func (s *udpSender) readLoop() {
 		matched := int64(0)
 		for i := range ms[:n] {
 			buf := ms[i].Buf[:ms[i].N]
-			if len(buf) < 4 {
-				continue
+			if len(buf) < 2 {
+				continue // no ID to match
 			}
 			id := uint16(buf[0])<<8 | uint16(buf[1])
 			sentNs := s.sendNs[id].Swap(0)
@@ -196,10 +202,15 @@ func (s *udpSender) readLoop() {
 			rtt := time.Duration(nowNs - sentNs)
 			matched++
 			rtts.ObserveDuration(rtt)
-			// Rcode straight from the header nibble: the fast path skips
-			// the full decode the Conn read loop does, keeping the
-			// per-rcode breakdown without per-response parsing.
-			s.q.st.countRcode(dnsmsg.Rcode(buf[3] & 0x0f))
+			// Validation is the header only: the rcode nibble gives the
+			// per-rcode breakdown without a full decode per response. A
+			// reply too short to hold a header is answered but bad, as a
+			// Conn's undecodable response is.
+			if len(buf) < 12 {
+				s.q.st.badResponses.Inc()
+			} else {
+				s.q.st.countRcode(dnsmsg.Rcode(buf[3] & 0x0f))
+			}
 			if idx := s.resIdx[id].Load(); idx >= 0 {
 				if r := s.q.results.at(int(idx)); r != nil {
 					r.RTT = rtt

@@ -46,8 +46,8 @@ type BatchConn interface {
 	WriteBatch(ms []Datagram) (int, error)
 }
 
-// ListenUDPUnconnected opens the unconnected UDP socket the replay fast
-// path shares across a querier's sends. The socket family must match the
+// ListenUDPUnconnected opens the unconnected UDP socket a replay querier
+// sends all its UDP queries through. The socket family must match the
 // destination: an unconnected dual-stack socket rejects AF_INET
 // sockaddrs at sendmmsg time.
 func ListenUDPUnconnected(dst netip.AddrPort) (net.PacketConn, error) {

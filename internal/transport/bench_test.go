@@ -3,7 +3,6 @@ package transport_test
 import (
 	"context"
 	"net/netip"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,9 +74,9 @@ func BenchmarkExchangeUDPPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkConnSendUDP measures the replay send path: Send through a
-// shared Conn with ID rewriting and pending tracking, responses matched
-// by the read loop.
+// BenchmarkConnSendUDP measures the Conn machinery behind replay's
+// stream sources over a datagram endpoint: Send with ID rewriting and
+// pending tracking, responses matched by the read loop.
 func BenchmarkConnSendUDP(b *testing.B) {
 	s := server.New(server.Config{UDPWorkers: 2})
 	if err := s.AddZone(testZone(b)); err != nil {
@@ -121,65 +120,6 @@ func BenchmarkConnSendUDP(b *testing.B) {
 	for int(got.Load()) < b.N && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// BenchmarkConnIdleFootprint reports what an idle replay source costs
-// the client: each op brings up idleSources per-source UDP Conns against
-// a loopback server, answers each once, and reads heap plus stack growth
-// with all of them idle — B/idle-source, reported, not gated (the
-// parent of PR 21 read ≈ 64 KiB more: a parked read buffer per source).
-func BenchmarkConnIdleFootprint(b *testing.B) {
-	const idleSources = 200
-	s := server.New(server.Config{UDPWorkers: 1})
-	if err := s.AddZone(testZone(b)); err != nil {
-		b.Fatal(err)
-	}
-	pc, addr, err := transport.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go s.ServeUDP(ctx, pc)
-
-	wire, err := query(b, "small.x.test.", 1).Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
-	dialer := &transport.NetDialer{}
-	got := make(chan struct{}, 1)
-	// inUse settles the heap first: two GCs empty the buffer pool's
-	// primary and victim caches, so only live state is counted.
-	inUse := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapInuse + ms.StackInuse)
-	}
-	var total float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		before := inUse()
-		conns := make([]*transport.Conn, idleSources)
-		for j := range conns {
-			conns[j] = transport.NewConn(transport.ConnConfig{
-				Dial:       func() (transport.Endpoint, error) { return dialer.Dial(ctx, transport.UDP, addr) },
-				OnResponse: func(any, time.Duration, []byte) { got <- struct{}{} },
-			})
-			if _, err := conns[j].Send(wire, j); err != nil {
-				b.Fatal(err)
-			}
-			<-got
-		}
-		total += float64(inUse()-before) / idleSources
-		for _, c := range conns {
-			c.Close()
-			c.Wait()
-		}
-	}
-	b.ReportMetric(total/float64(b.N), "B/idle-source")
 }
 
 // BenchmarkExchangeVNet measures the exchange path over the in-memory

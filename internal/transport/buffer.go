@@ -13,9 +13,9 @@ const BufSize = 64 * 1024
 // are *[]byte so Put itself does not allocate.
 //
 // Ownership rule: a buffer is held only while a message is in hand.
-// Nothing parks on a pooled buffer — a reader waiting for its next
-// message holds none (RecvPooled), so an idle source costs its socket,
-// its goroutine and its pending map, not 64 KiB.
+// A stream reader waiting for its next message holds none (RecvPooled),
+// so an idle connection costs its socket, its goroutine and its pending
+// map, not 64 KiB.
 var bufPool = sync.Pool{
 	New: func() any {
 		obsBufAllocs.Inc()
@@ -44,9 +44,11 @@ func PutBuf(bp *[]byte) {
 
 // PooledReceiver is the buffer-on-ready read: wait for the next message
 // holding no buffer, borrow one from the pool only once the message is
-// there, and return it as RecvPooled does. Every Endpoint of this
-// package implements it; a wrapping Endpoint defined elsewhere keeps it
-// by forwarding to RecvPooled on the Endpoint it wraps.
+// there, and return it as RecvPooled does. The stream and vnet
+// endpoints implement it; a wrapping Endpoint defined elsewhere keeps it
+// by forwarding to RecvPooled on the Endpoint it wraps. A connected UDP
+// endpoint does not: nothing long-lived reads one (the replay engine
+// sends UDP through one unconnected socket per querier).
 type PooledReceiver interface {
 	RecvPooled() (bp *[]byte, n int, err error)
 }

@@ -196,8 +196,8 @@ func (c *Conn) drop(tokens []any) {
 
 // readLoop receives on one endpoint until it dies, matching responses to
 // pending queries by ID. It holds a pooled buffer (and message) only
-// while a response is in hand: an idle source parks in RecvPooled with
-// neither.
+// while a response is in hand: an idle stream or vnet source parks in
+// RecvPooled with neither.
 func (c *Conn) readLoop(ep Endpoint) {
 	defer c.loops.Done()
 	for {

@@ -76,27 +76,6 @@ func idleSources(t *testing.T, n int, proto transport.Proto, addr netip.AddrPort
 	}
 }
 
-// TestIdleUDPConnsHoldNoBuffers: 1000 per-source UDP Conns, each
-// answered once and then left idle, hold no 64 KiB read buffer.
-func TestIdleUDPConnsHoldNoBuffers(t *testing.T) {
-	pc, addr, err := transport.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go func() { // echo: every datagram is its own answer
-		buf := make([]byte, 2048)
-		for {
-			n, from, err := pc.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			pc.WriteTo(buf[:n], from) //ldp:nolint errcheck — test echo; a lost reply fails the waiting test
-		}
-	}()
-	idleSources(t, 1000, transport.UDP, addr)
-}
-
 // TestIdleTCPConnsHoldNoBuffers: 500 TCP connections to ServeTCP, each
 // answered once and left open — neither the client's read loop nor the
 // server's per-connection loop parks on a pooled buffer.

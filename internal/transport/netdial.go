@@ -64,12 +64,9 @@ func (d *NetDialer) Dial(ctx context.Context, proto Proto, server netip.AddrPort
 }
 
 // packetEndpoint is a connected datagram socket: one Read is one DNS
-// message. rd, where the platform has it, reads without holding a
-// buffer while the socket is empty; it is built by the first RecvPooled,
-// so one-shot exchanges (Recv only) never pay for it.
+// message.
 type packetEndpoint struct {
 	conn net.Conn
-	rd   *udpReader
 }
 
 func (e *packetEndpoint) Send(msg []byte) error {
@@ -82,15 +79,6 @@ func (e *packetEndpoint) Send(msg []byte) error {
 
 func (e *packetEndpoint) Recv(buf []byte) (int, error) {
 	return e.conn.Read(buf)
-}
-
-func (e *packetEndpoint) RecvPooled() (*[]byte, int, error) {
-	if e.rd == nil {
-		if e.rd = newUDPReader(e.conn); e.rd == nil {
-			return recvBorrowed(e)
-		}
-	}
-	return e.rd.recv()
 }
 
 func (e *packetEndpoint) SetDeadline(t time.Time) error { return e.conn.SetDeadline(t) }

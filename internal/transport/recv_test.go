@@ -99,10 +99,12 @@ func TestStreamFraming(t *testing.T) {
 	}
 }
 
-// TestUDPRecvEdgeCases: a zero-length datagram is a message of length
-// zero and the datagram behind it reads whole; a refused port fails the endpoint over with each in-flight token dropped
-// exactly once; Close+Wait returns promptly with a read parked; and
-// every buffer borrowed along the way is returned.
+// TestUDPRecvEdgeCases: over a connected UDP endpoint (RecvPooled's
+// blocking fallback), a zero-length datagram is a message of length
+// zero and the datagram behind it reads whole; a refused port fails the
+// endpoint over with each in-flight token dropped exactly once;
+// Close+Wait returns promptly with a read parked; and every buffer
+// borrowed along the way is returned.
 func TestUDPRecvEdgeCases(t *testing.T) {
 	gets0, puts0 := obsBufGets.Value(), obsBufPuts.Value()
 	d := &NetDialer{}

@@ -14,11 +14,10 @@
 //     parameterized by protocol (the replay querier's engine);
 //   - a sync.Pool of read/write buffers replacing per-call 64 KiB
 //     allocations on every hot path, borrowed only while a message is in
-//     hand: RecvPooled waits for the next message holding no buffer (the
-//     stream prefix is read into the endpoint's own 2 bytes; connected
-//     UDP on linux reads inside the poller callback and hands the buffer
-//     back on EAGAIN), so an idle source costs its socket, its goroutine
-//     and its pending map, not 64 KiB.
+//     hand: RecvPooled waits for the next stream message holding no
+//     buffer (the prefix is read into the endpoint's own 2 bytes), so an
+//     idle connection costs its socket, its goroutine and its pending
+//     map, not 64 KiB.
 //
 // The paper's claim (§2.6, §4) that one framework drives UDP, TCP and
 // TLS workloads through the same pipeline is realized by this package:
@@ -84,12 +83,11 @@ type Dialer interface {
 }
 
 // PacketDialer is a Dialer whose fabric can also vend an unconnected
-// datagram socket. The replay fast path needs one (a shared per-querier
-// socket it drives through UDPBatch); a Dialer that implements this
-// keeps that path available on simulated fabrics instead of degrading
-// to per-source endpoints. VNetHost implements it; dialers over real
-// sockets don't need to — with no Dialer injected the replay engine
-// opens net.ListenUDP itself.
+// datagram socket. It is what the replay engine takes as its injected
+// fabric: every querier sends its UDP queries through one such socket,
+// driven by UDPBatch, and dials stream sources through Dial. VNetHost
+// implements it; with no dialer injected the replay engine opens real
+// sockets itself.
 type PacketDialer interface {
 	Dialer
 	ListenPacketConn() (net.PacketConn, error)
