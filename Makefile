@@ -69,16 +69,17 @@ bench:
 # codec, server answer cache, zone lookup, cluster replay, replay data
 # plane) and compare against the committed baseline; fails on >20%
 # allocs/op regression. These packages are the serve/replay fast path
-# the pooled codec and answer cache keep allocation-free, plus the
-# netsim cluster engine whose per-query scheduling must stay
-# allocation-free. The second -speedup gates the batched replay engine
+# the pooled codec and answer cache keep allocation-free, the netsim
+# cluster engine whose per-query scheduling must stay allocation-free,
+# and the emulated hierarchy's cold resolution (resolver, proxies, vnet,
+# meta-server). The second -speedup gates the batched replay engine
 # against its per-item reference plane (test-only: reference_test.go) on
 # the in-process fabric pair
 # (same run, same fabric — hardware cancels out; see bench_test.go for
 # why the loopback variants are reported but not gated).
 bench-check:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/transport ./internal/dnsmsg ./internal/server ./internal/zone ./internal/pcap ./internal/netsim ./internal/replay > bench.new || { cat bench.new; rm -f bench.new; exit 1; }
-	$(GO) run ./cmd/ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/(transport|dnsmsg|server|zone|pcap|netsim|replay)\.' \
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/transport ./internal/dnsmsg ./internal/server ./internal/zone ./internal/pcap ./internal/netsim ./internal/replay ./internal/hierarchy > bench.new || { cat bench.new; rm -f bench.new; exit 1; }
+	$(GO) run ./cmd/ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/(transport|dnsmsg|server|zone|pcap|netsim|replay|hierarchy)\.' \
 		-speedup 'recs/s:ldplayer/internal/zone.BenchmarkZoneParseStreaming:ldplayer/internal/zone.BenchmarkZoneParseClassic:10' \
 		-speedup 'qps:ldplayer/internal/replay.BenchmarkReplayFastUDP:ldplayer/internal/replay.BenchmarkReplayFastUDPReference:5'
 

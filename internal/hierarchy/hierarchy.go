@@ -9,7 +9,10 @@ package hierarchy
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 
 	"ldplayer/internal/cache"
 	"ldplayer/internal/dnsmsg"
@@ -66,10 +69,19 @@ func New(h *zonegen.Hierarchy, cfg Config) (*Emulation, error) {
 	// public address — after proxy rewriting, the query source address IS
 	// the original query destination (OQDA), so matching on it selects
 	// the hierarchy level the query was aimed at.
+	// Views register in origin order, so which zone owns an address never
+	// depends on map iteration; two zones on one address is an error, as
+	// the second could never be reached.
 	meta := server.New(server.Config{})
-	for origin, z := range h.Zones {
-		v := server.NewView(string(origin), []netip.Addr{h.NSAddr[origin]}, nil)
-		if err := v.Zones.Add(z); err != nil {
+	owner := make(map[netip.Addr]dnsmsg.Name, len(h.Zones))
+	for _, origin := range slices.Sorted(maps.Keys(h.Zones)) {
+		addr := h.NSAddr[origin]
+		if prev, dup := owner[addr]; dup {
+			return nil, fmt.Errorf("hierarchy: zones %s and %s share nameserver address %s", prev, origin, addr)
+		}
+		owner[addr] = origin
+		v := server.NewView(string(origin), []netip.Addr{addr}, nil)
+		if err := v.Zones.Add(h.Zones[origin]); err != nil {
 			return nil, err
 		}
 		meta.AddView(v)
@@ -100,23 +112,7 @@ func New(h *zonegen.Hierarchy, cfg Config) (*Emulation, error) {
 	// Meta server endpoint: answer each query and emit the reply with the
 	// meta server's own source address — the authoritative proxy fixes it
 	// up, exactly as in the paper.
-	net.Attach(cfg.MetaAddr, func(pkt vnet.Packet) {
-		var req dnsmsg.Msg
-		if err := req.Unpack(pkt.Payload); err != nil {
-			return
-		}
-		resp := meta.HandleQuery(pkt.Src.Addr(), &req, 0)
-		wire, err := resp.Pack()
-		if err != nil {
-			return
-		}
-		//ldp:nolint errcheck — vnet counts undeliverable packets; a dropped response models real packet loss (paper §2.4)
-		_ = net.Send(vnet.Packet{
-			Src:     netip.AddrPortFrom(cfg.MetaAddr, 53),
-			Dst:     pkt.Src,
-			Payload: wire,
-		})
-	})
+	net.Attach(cfg.MetaAddr, serveMeta(net, meta))
 
 	// Recursive host endpoint: the transport layer's vnet host demuxes
 	// replies to the per-query endpoints the exchanger opens.
@@ -135,6 +131,31 @@ func New(h *zonegen.Hierarchy, cfg Config) (*Emulation, error) {
 	}
 	em.Resolver = res
 	return em, nil
+}
+
+// serveMeta is the meta-server's packet handler: it answers each query
+// through the server's pooled wire path (so repeated referrals come
+// pre-packed from the answer cache) and replies from the address the
+// query reached, with the client's address as the view selector — after
+// the recursive proxy's rewrite, that is the original query destination.
+func serveMeta(n *vnet.Network, meta *server.Server) vnet.Handler {
+	return func(pkt vnet.Packet) {
+		req := dnsmsg.GetMsg()
+		defer dnsmsg.PutMsg(req)
+		if err := req.UnpackBuffer(pkt.Payload); err != nil {
+			return
+		}
+		bp := transport.GetBuf()
+		defer transport.PutBuf(bp)
+		wire, err := meta.HandleQueryWire(pkt.Src.Addr(), req, 0, (*bp)[:0])
+		if err != nil {
+			return
+		}
+		// Delivery is synchronous but receivers queue the payload, so
+		// the fabric gets its own copy, not the pooled buffer.
+		reply := vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: append([]byte(nil), wire...)}
+		_ = n.Send(reply) //ldp:nolint errcheck — vnet counts undeliverable packets; a dropped response models real packet loss (paper §2.4)
+	}
 }
 
 // Resolve runs one query through the emulated hierarchy.
@@ -160,19 +181,8 @@ func NewDirect(h *zonegen.Hierarchy, cfg Config) (*Emulation, error) {
 		}
 	}
 	em := &Emulation{Net: net, Meta: meta, cfg: cfg}
-	handler := func(pkt vnet.Packet) {
-		var req dnsmsg.Msg
-		if err := req.Unpack(pkt.Payload); err != nil {
-			return
-		}
-		resp := meta.HandleQuery(pkt.Src.Addr(), &req, 0)
-		wire, err := resp.Pack()
-		if err != nil {
-			return
-		}
-		_ = net.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: wire}) //ldp:nolint errcheck — vnet counts undeliverable packets; drops model packet loss
-	}
 	// The one server answers at every authoritative address.
+	handler := serveMeta(net, meta)
 	for _, addr := range h.NSAddr {
 		net.Attach(addr, handler)
 	}

@@ -87,8 +87,14 @@ type Config struct {
 
 // Server answers authoritative DNS queries from its views.
 type Server struct {
-	cfg      Config
-	views    []*View
+	cfg   Config
+	views []*View
+	// The view index (see viewFor): exact maps every address some view
+	// lists to the registration index of the first view listing it, and
+	// inexact holds, in registration order, the indices of the views
+	// that match by prefix or match everyone.
+	exact    map[netip.Addr]int
+	inexact  []int
 	stats    Stats
 	anscache ansCache
 }
@@ -116,8 +122,23 @@ func New(cfg Config) *Server {
 // Obs returns the registry holding the server's live instruments.
 func (s *Server) Obs() *obs.Registry { return s.cfg.Obs }
 
-// AddView appends a view; views match in registration order.
-func (s *Server) AddView(v *View) { s.views = append(s.views, v) }
+// AddView appends a view; views match in registration order. Register
+// every view before serving: the view index is not synchronized.
+func (s *Server) AddView(v *View) {
+	i := len(s.views)
+	s.views = append(s.views, v)
+	for a := range v.addrs {
+		if s.exact == nil {
+			s.exact = make(map[netip.Addr]int)
+		}
+		if _, dup := s.exact[a]; !dup {
+			s.exact[a] = i
+		}
+	}
+	if v.matchAll || len(v.prefixes) > 0 {
+		s.inexact = append(s.inexact, i)
+	}
+}
 
 // AddZone adds a zone to a match-all default view (single-horizon use).
 func (s *Server) AddZone(z *zone.Zone) error {
@@ -130,12 +151,26 @@ func (s *Server) AddZone(z *zone.Zone) error {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() StatsSnapshot { return s.stats.Snapshot() }
 
-// viewFor selects the first matching view.
+// viewFor selects the first matching view in registration order. The
+// exact-address index names the first view listing src; only a prefix
+// or match-all view registered before it can win instead, so the walk
+// covers those alone and the cost does not grow with the number of
+// exact-address views (the meta-server's one view per zone).
 func (s *Server) viewFor(src netip.Addr) *View {
-	for _, v := range s.views {
-		if v.Matches(src) {
-			return v
+	hit, ok := s.exact[src]
+	if !ok {
+		hit = len(s.views)
+	}
+	for _, i := range s.inexact {
+		if i >= hit {
+			break
 		}
+		if s.views[i].Matches(src) {
+			return s.views[i]
+		}
+	}
+	if ok {
+		return s.views[hit]
 	}
 	return nil
 }
@@ -150,7 +185,7 @@ func (s *Server) HandleQuery(src netip.Addr, req *dnsmsg.Msg, maxSize int) *dnsm
 	resp := &dnsmsg.Msg{}
 	var ans zone.Answer
 	st := s.stats.stream
-	s.answerInto(resp, &ans, src, req, maxSize, st)
+	s.answerInto(resp, &ans, s.viewFor(src), req, maxSize, st)
 	st.countRcode(resp.Rcode)
 	return resp
 }
@@ -179,17 +214,14 @@ func (s *Server) HandleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, o
 // answering concurrently touch no common mutable state on this path.
 func (s *Server) handleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, out []byte, cache *ansCache, st *statView) ([]byte, error) {
 	var (
-		v     *View
 		key   ansKey
 		gen   uint64
 		limit int
 	)
-	cacheable := req.Opcode == dnsmsg.OpcodeQuery && len(req.Question) == 1 &&
+	v := s.viewFor(src)
+	cacheable := v != nil && req.Opcode == dnsmsg.OpcodeQuery && len(req.Question) == 1 &&
 		req.Question[0].Class == dnsmsg.ClassINET
 	if cacheable {
-		v = s.viewFor(src)
-	}
-	if v != nil {
 		q := req.Question[0]
 		udpSize, do, hasEDNS := req.EDNS()
 		limit = effectiveLimit(maxSize, udpSize, hasEDNS)
@@ -232,14 +264,14 @@ func (s *Server) handleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, o
 
 	// Truncation happens at the wire level here (the cache needs the full
 	// form regardless), so answerInto runs uncapped.
-	fromZone := s.answerInto(resp, ans, src, req, 0, st)
+	fromZone := s.answerInto(resp, ans, v, req, 0, st)
 	st.countRcode(resp.Rcode)
 	out, err := resp.PackBuffer(out[:0])
 	if err != nil {
 		return nil, err
 	}
 
-	insert := fromZone && v != nil && cache.admit(key)
+	insert := fromZone && cacheable && cache.admit(key)
 	needTrunc := limit > 0 && len(out) > limit
 	var truncWire []byte
 	if insert || needTrunc {
@@ -328,10 +360,11 @@ func sizeClass(limit int) uint8 {
 }
 
 // answerInto fills resp (via SetReply on req) with the authoritative
-// answer, using ans as section scratch — resp's sections alias ans's
-// backing arrays afterwards. It reports whether the response came from a
-// zone lookup; header-only rejections (NOTIMPL, REFUSED) return false.
-func (s *Server) answerInto(resp *dnsmsg.Msg, ans *zone.Answer, src netip.Addr, req *dnsmsg.Msg, maxSize int, st *statView) (fromZone bool) {
+// answer from view v (the client's viewFor; nil refuses), using ans as
+// section scratch — resp's sections alias ans's backing arrays
+// afterwards. It reports whether the response came from a zone lookup;
+// header-only rejections (NOTIMPL, REFUSED) return false.
+func (s *Server) answerInto(resp *dnsmsg.Msg, ans *zone.Answer, v *View, req *dnsmsg.Msg, maxSize int, st *statView) (fromZone bool) {
 	st.queries.Inc()
 	resp.SetReply(req)
 
@@ -348,7 +381,6 @@ func (s *Server) answerInto(resp *dnsmsg.Msg, ans *zone.Answer, src netip.Addr, 
 
 	udpSize, do, hasEDNS := req.EDNS()
 
-	v := s.viewFor(src)
 	if v == nil {
 		resp.Rcode = dnsmsg.RcodeRefused
 		st.refused.Add(1)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -21,17 +22,18 @@ type VNetHost struct {
 	addr netip.Addr
 
 	mu       sync.Mutex
-	ports    map[uint16]chan vnet.Packet
+	ports    map[uint16]*portQueue
 	nextPort uint16
 	closed   bool
 }
 
 // Delivery-queue depths. vnet delivery is synchronous, so each port
-// buffers packets in its channel; overflow drops the packet, like a full
+// buffers packets in a portQueue; overflow drops the packet, like a full
 // kernel socket buffer. Listeners face unbounded senders and get a queue
 // comparable to a real UDP receive buffer; dialed endpoints only ever
-// hold their own in-flight queries and get a smaller one (it is
-// allocated per dial, on the exchange hot path).
+// hold their own in-flight queries and get a smaller one. A queue's
+// storage grows with the packets actually queued, never with its depth:
+// a dial is on the exchange hot path and usually holds one reply.
 const (
 	vnetListenDepth = 1024
 	vnetDialDepth   = 256
@@ -39,7 +41,7 @@ const (
 
 // NewVNetHost attaches a host at addr. Close detaches it.
 func NewVNetHost(n *vnet.Network, addr netip.Addr) *VNetHost {
-	h := &VNetHost{net: n, addr: addr, ports: make(map[uint16]chan vnet.Packet), nextPort: 20000}
+	h := &VNetHost{net: n, addr: addr, ports: make(map[uint16]*portQueue), nextPort: 20000}
 	n.Attach(addr, h.deliver)
 	return h
 }
@@ -49,33 +51,32 @@ func (h *VNetHost) Addr() netip.Addr { return h.addr }
 
 func (h *VNetHost) deliver(pkt vnet.Packet) {
 	h.mu.Lock()
-	ch := h.ports[pkt.Dst.Port()]
+	q := h.ports[pkt.Dst.Port()]
 	h.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- pkt:
-		default: // receiver queue full: drop, as a real socket would
-		}
+	if q != nil {
+		q.push(pkt)
 	}
 }
 
 // Close detaches the host from the network and closes every endpoint's
-// delivery queue.
+// delivery queue: parked receivers return ErrClosed.
 func (h *VNetHost) Close() {
 	h.net.Detach(h.addr)
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.closed = true
-	h.ports = make(map[uint16]chan vnet.Packet)
-	h.mu.Unlock()
+	for _, q := range h.ports {
+		q.close()
+	}
+	clear(h.ports)
 }
 
-// bind reserves a local port (0 = pseudo-ephemeral) and installs its
-// delivery queue.
-func (h *VNetHost) bind(port uint16, depth int) (uint16, chan vnet.Packet, error) {
+// bind reserves a local port (0 = pseudo-ephemeral) for queue q.
+func (h *VNetHost) bind(port uint16, q *portQueue) (uint16, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return 0, nil, ErrClosed
+		return 0, ErrClosed
 	}
 	if port == 0 {
 		for range [65536]struct{}{} {
@@ -89,20 +90,151 @@ func (h *VNetHost) bind(port uint16, depth int) (uint16, chan vnet.Packet, error
 			}
 		}
 		if port == 0 {
-			return 0, nil, fmt.Errorf("transport: vnet host %s: no free ports", h.addr)
+			return 0, fmt.Errorf("transport: vnet host %s: no free ports", h.addr)
 		}
 	} else if _, busy := h.ports[port]; busy {
-		return 0, nil, fmt.Errorf("transport: vnet host %s: port %d in use", h.addr, port)
+		return 0, fmt.Errorf("transport: vnet host %s: port %d in use", h.addr, port)
 	}
-	ch := make(chan vnet.Packet, depth)
-	h.ports[port] = ch
-	return port, ch, nil
+	h.ports[port] = q
+	return port, nil
 }
 
-func (h *VNetHost) release(port uint16) {
+// release closes q and frees its port. Only the queue bound there is
+// removed, so a repeated release never unbinds a later owner.
+func (h *VNetHost) release(port uint16, q *portQueue) {
+	q.close()
 	h.mu.Lock()
-	delete(h.ports, port)
+	if h.ports[port] == q {
+		delete(h.ports, port)
+	}
 	h.mu.Unlock()
+}
+
+// portQueue is one bound port's delivery queue: FIFO, at most depth
+// packets, and packets beyond that are dropped. pkts[head:] are the
+// queued packets; the backing array grows with use and is compacted,
+// never sized up front. wake holds at most one pending signal. A
+// receiver re-checks the queue after every wake-up, and a pop that
+// leaves packets behind passes the signal on, so receivers sharing a
+// queue (server shards on one PacketConn) never strand a packet. A
+// closed queue is never reopened, so nothing delivered to a closed
+// endpoint can reach a later one on the same port.
+type portQueue struct {
+	depth int
+	wake  chan struct{}
+
+	mu     sync.Mutex
+	pkts   []vnet.Packet
+	head   int
+	closed bool
+}
+
+func (q *portQueue) init(depth int) {
+	q.depth = depth
+	q.wake = make(chan struct{}, 1)
+}
+
+// push queues pkt, or drops it when the queue is full or closed.
+func (q *portQueue) push(pkt vnet.Packet) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.pkts)-q.head >= q.depth {
+		return
+	}
+	if len(q.pkts) == cap(q.pkts) && q.head > 0 {
+		n := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[n:])
+		q.pkts, q.head = q.pkts[:n], 0
+	}
+	q.pkts = append(q.pkts, pkt)
+	q.signal()
+}
+
+// signal leaves a wake-up pending unless one already is (q.mu held,
+// queue open).
+func (q *portQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pop takes the oldest queued packet; ok is false when there is none.
+func (q *portQueue) pop() (pkt vnet.Packet, ok bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return vnet.Packet{}, false, ErrClosed
+	}
+	if q.head == len(q.pkts) {
+		return vnet.Packet{}, false, nil
+	}
+	pkt = q.pkts[q.head]
+	q.pkts[q.head] = vnet.Packet{} // the queue no longer holds the payload
+	q.head++
+	if q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0
+	} else {
+		q.signal()
+	}
+	return pkt, true, nil
+}
+
+// close drops every queued packet and wakes all receivers for good.
+func (q *portQueue) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return
+	}
+	q.closed = true
+	q.pkts, q.head = nil, 0
+	close(q.wake)
+}
+
+func (q *portQueue) isClosed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
+}
+
+// errBumped reports that recv's bump channel fired.
+var errBumped = errors.New("transport: vnet deadline moved")
+
+// recv waits for the next packet until the queue closes (ErrClosed),
+// the deadline dl passes (ErrTimeout; the zero time never does) or bump
+// is closed (errBumped; nil never is). As on a socket, a deadline that
+// has already passed fails the read even when a packet is queued.
+func (q *portQueue) recv(dl time.Time, bump <-chan struct{}) (vnet.Packet, error) {
+	var wait time.Duration
+	if !dl.IsZero() {
+		if wait = time.Until(dl); wait <= 0 {
+			return vnet.Packet{}, ErrTimeout
+		}
+	}
+	// Delivery is synchronous, so a reply is usually queued before its
+	// receiver asks: look first, and arm a timer only to wait.
+	if pkt, ok, err := q.pop(); ok || err != nil {
+		return pkt, err
+	}
+	var timeout <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for {
+		select {
+		case <-q.wake:
+		case <-timeout:
+			return vnet.Packet{}, ErrTimeout
+		case <-bump:
+			return vnet.Packet{}, errBumped
+		}
+		if pkt, ok, err := q.pop(); ok || err != nil {
+			return pkt, err
+		}
+	}
 }
 
 // Dial implements Dialer. The vnet fabric is a datagram network, so only
@@ -112,17 +244,14 @@ func (h *VNetHost) Dial(_ context.Context, proto Proto, server netip.AddrPort) (
 	if proto != UDP {
 		return nil, fmt.Errorf("transport: vnet fabric carries datagrams only, not %s", proto)
 	}
-	port, ch, err := h.bind(0, vnetDialDepth)
+	e := &vnetEndpoint{host: h, remote: server}
+	e.q.init(vnetDialDepth)
+	port, err := h.bind(0, &e.q)
 	if err != nil {
 		return nil, err
 	}
-	return &vnetEndpoint{
-		host:   h,
-		local:  netip.AddrPortFrom(h.addr, port),
-		remote: server,
-		recv:   ch,
-		done:   make(chan struct{}),
-	}, nil
+	e.local = netip.AddrPortFrom(h.addr, port)
+	return e, nil
 }
 
 // vnetEndpoint is one connected datagram channel on the fabric.
@@ -130,19 +259,15 @@ type vnetEndpoint struct {
 	host   *VNetHost
 	local  netip.AddrPort
 	remote netip.AddrPort
-	recv   chan vnet.Packet
-	done   chan struct{}
+	q      portQueue
 
-	mu        sync.Mutex
-	deadline  time.Time
-	closeOnce sync.Once
+	mu       sync.Mutex
+	deadline time.Time
 }
 
 func (e *vnetEndpoint) Send(msg []byte) error {
-	select {
-	case <-e.done:
+	if e.q.isClosed() {
 		return ErrClosed
-	default:
 	}
 	// Delivery is synchronous; handlers may retain the payload, so hand
 	// the fabric its own copy.
@@ -173,24 +298,8 @@ func (e *vnetEndpoint) next() ([]byte, error) {
 	e.mu.Lock()
 	dl := e.deadline
 	e.mu.Unlock()
-	var timeout <-chan time.Time
-	if !dl.IsZero() {
-		wait := time.Until(dl)
-		if wait <= 0 {
-			return nil, ErrTimeout
-		}
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case pkt := <-e.recv:
-		return pkt.Payload, nil
-	case <-e.done:
-		return nil, ErrClosed
-	case <-timeout:
-		return nil, ErrTimeout
-	}
+	pkt, err := e.q.recv(dl, nil)
+	return pkt.Payload, err
 }
 
 func (e *vnetEndpoint) SetDeadline(t time.Time) error {
@@ -201,10 +310,7 @@ func (e *vnetEndpoint) SetDeadline(t time.Time) error {
 }
 
 func (e *vnetEndpoint) Close() error {
-	e.closeOnce.Do(func() {
-		e.host.release(e.local.Port())
-		close(e.done)
-	})
+	e.host.release(e.local.Port(), &e.q)
 	return nil
 }
 
@@ -223,13 +329,11 @@ func (a vnetAddr) String() string  { return netip.AddrPort(a).String() }
 type VNetPacketConn struct {
 	host  *VNetHost
 	local netip.AddrPort
-	recv  chan vnet.Packet
-	done  chan struct{}
+	q     portQueue
 
-	mu        sync.Mutex
-	deadline  time.Time
-	bumped    chan struct{} // closed when the deadline changes
-	closeOnce sync.Once
+	mu       sync.Mutex
+	deadline time.Time
+	bumped   chan struct{} // closed when the deadline changes
 }
 
 // ListenPacketConn implements PacketDialer: an unconnected datagram
@@ -241,64 +345,37 @@ func (h *VNetHost) ListenPacketConn() (net.PacketConn, error) {
 
 // ListenPacket binds a datagram listener on the host (port 0 picks one).
 func (h *VNetHost) ListenPacket(port uint16) (*VNetPacketConn, error) {
-	port, ch, err := h.bind(port, vnetListenDepth)
+	c := &VNetPacketConn{host: h, bumped: make(chan struct{})}
+	c.q.init(vnetListenDepth)
+	port, err := h.bind(port, &c.q)
 	if err != nil {
 		return nil, err
 	}
-	return &VNetPacketConn{
-		host:   h,
-		local:  netip.AddrPortFrom(h.addr, port),
-		recv:   ch,
-		done:   make(chan struct{}),
-		bumped: make(chan struct{}),
-	}, nil
+	c.local = netip.AddrPortFrom(h.addr, port)
+	return c, nil
 }
 
 // ReadFrom implements net.PacketConn.
 func (c *VNetPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	for {
 		c.mu.Lock()
-		dl := c.deadline
-		bumped := c.bumped
+		dl, bumped := c.deadline, c.bumped
 		c.mu.Unlock()
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !dl.IsZero() {
-			wait := time.Until(dl)
-			if wait <= 0 {
-				return 0, nil, ErrTimeout
-			}
-			timer = time.NewTimer(wait)
-			timeout = timer.C
-		}
-		select {
-		case pkt := <-c.recv:
-			if timer != nil {
-				timer.Stop()
-			}
-			return copy(p, pkt.Payload), vnetAddr(pkt.Src), nil
-		case <-c.done:
-			if timer != nil {
-				timer.Stop()
-			}
-			return 0, nil, ErrClosed
-		case <-bumped:
-			if timer != nil {
-				timer.Stop()
-			}
+		pkt, err := c.q.recv(dl, bumped)
+		if err == errBumped {
 			continue // deadline moved; recompute
-		case <-timeout:
-			return 0, nil, ErrTimeout
 		}
+		if err != nil {
+			return 0, nil, err
+		}
+		return copy(p, pkt.Payload), vnetAddr(pkt.Src), nil
 	}
 }
 
 // WriteTo implements net.PacketConn.
 func (c *VNetPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	select {
-	case <-c.done:
+	if c.q.isClosed() {
 		return 0, ErrClosed
-	default:
 	}
 	dst := AddrPortOf(addr)
 	if !dst.IsValid() {
@@ -314,10 +391,7 @@ func (c *VNetPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 
 // Close implements net.PacketConn.
 func (c *VNetPacketConn) Close() error {
-	c.closeOnce.Do(func() {
-		c.host.release(c.local.Port())
-		close(c.done)
-	})
+	c.host.release(c.local.Port(), &c.q)
 	return nil
 }
 

@@ -70,6 +70,11 @@ func Generate(cfg Config) (*Hierarchy, error) {
 	if cfg.HostsPerSLD <= 0 {
 		cfg.HostsPerSLD = 4
 	}
+	ntld := len(cfg.TLDs)
+	if _, ok := sldNet(ntld-1, cfg.SLDsPerTLD-1, ntld, cfg.SLDsPerTLD); !ok || cfg.HostsPerSLD > maxHostsPerSLD {
+		return nil, fmt.Errorf("zonegen: %d TLDs × %d SLDs × %d hosts exceed the address plan (at most 255 TLDs, %d hosts per SLD, one 10.0.0.0/8 /24 per SLD)",
+			ntld, cfg.SLDsPerTLD, cfg.HostsPerSLD, maxHostsPerSLD)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	h := &Hierarchy{
@@ -91,8 +96,10 @@ func Generate(cfg Config) (*Hierarchy, error) {
 	mustAdd(root, rr(dnsmsg.Root, dnsmsg.TypeNS, 518400, dnsmsg.NS{Host: "a.root-servers.net."}))
 	mustAdd(root, rr("a.root-servers.net.", dnsmsg.TypeA, 518400, dnsmsg.A{Addr: RootAddr}))
 
-	// Address plan: TLD servers in 192.x, SLD servers in 10.x — purely
-	// conventional, the testbed routes by table not by prefix semantics.
+	// Address plan: TLD servers in 192.100.x, one 10.x /24 per SLD (see
+	// sldNet) — purely conventional, the testbed routes by table not by
+	// prefix semantics. Every nameserver address is distinct: the
+	// split-horizon views key on them.
 	for ti, tld := range cfg.TLDs {
 		tldName := dnsmsg.MustParseName(tld + ".")
 		nsHost := dnsmsg.MustParseName(fmt.Sprintf("a.nic.%s.", tld))
@@ -116,7 +123,8 @@ func Generate(cfg Config) (*Hierarchy, error) {
 			sld := dnsmsg.MustParseName(fmt.Sprintf("%s%d.%s.", sldWord(rng), si, tld))
 			h.SLDs = append(h.SLDs, sld)
 			sldNS := dnsmsg.MustParseName("ns1." + string(sld))
-			sldAddr := netip.AddrFrom4([4]byte{10, byte(ti + 1), byte(si + 1), 53})
+			sn, _ := sldNet(ti, si, ntld, cfg.SLDsPerTLD) // the last SLD's fits, checked above
+			sldAddr := sn.host(53)
 
 			mustAdd(tz, rr(sld, dnsmsg.TypeNS, 172800, dnsmsg.NS{Host: sldNS}))
 			mustAdd(tz, rr(sldNS, dnsmsg.TypeA, 172800, dnsmsg.A{Addr: sldAddr}))
@@ -133,9 +141,7 @@ func Generate(cfg Config) (*Hierarchy, error) {
 			mustAdd(sz, rr(sldNS, dnsmsg.TypeA, 3600, dnsmsg.A{Addr: sldAddr}))
 			for hi := 0; hi < cfg.HostsPerSLD; hi++ {
 				host := dnsmsg.MustParseName(fmt.Sprintf("%s.%s", hostWord(hi), sld))
-				mustAdd(sz, rr(host, dnsmsg.TypeA, 300, dnsmsg.A{
-					Addr: netip.AddrFrom4([4]byte{10, byte(ti + 1), byte(si + 1), byte(100 + hi)}),
-				}))
+				mustAdd(sz, rr(host, dnsmsg.TypeA, 300, dnsmsg.A{Addr: sn.host(byte(100 + hi))}))
 				if hi%2 == 0 {
 					mustAdd(sz, rr(host, dnsmsg.TypeAAAA, 300, dnsmsg.AAAA{
 						Addr: v6(ti, si, hi),
@@ -145,10 +151,10 @@ func Generate(cfg Config) (*Hierarchy, error) {
 			mustAdd(sz, rr(sld, dnsmsg.TypeMX, 3600, dnsmsg.MX{Preference: 10,
 				Host: dnsmsg.MustParseName("mail." + string(sld))}))
 			mustAdd(sz, rr(dnsmsg.MustParseName("mail."+string(sld)), dnsmsg.TypeA, 300,
-				dnsmsg.A{Addr: netip.AddrFrom4([4]byte{10, byte(ti + 1), byte(si + 1), 25})}))
+				dnsmsg.A{Addr: sn.host(25)}))
 			if cfg.Wildcard {
 				mustAdd(sz, rr(dnsmsg.Name("*."+string(sld)), dnsmsg.TypeA, 300,
-					dnsmsg.A{Addr: netip.AddrFrom4([4]byte{10, byte(ti + 1), byte(si + 1), 99})}))
+					dnsmsg.A{Addr: sn.host(99)}))
 			}
 		}
 	}
@@ -159,6 +165,28 @@ func Generate(cfg Config) (*Hierarchy, error) {
 		}
 	}
 	return h, nil
+}
+
+// maxHostsPerSLD keeps host addresses (.100 upward in the SLD's /24)
+// inside the octet.
+const maxHostsPerSLD = 156
+
+// net24 is the first three octets of an IPv4 /24.
+type net24 [3]byte
+
+func (n net24) host(b byte) netip.Addr { return netip.AddrFrom4([4]byte{n[0], n[1], n[2], b}) }
+
+// sldNet is the /24 of SLD si under TLD ti (of ntld, perTLD SLDs each),
+// and whether the plan has one. The first 255 SLDs of a TLD sit at
+// 10.(ti+1).(si+1); the rest follow, in generation order, in the second
+// octets after the last TLD's.
+func sldNet(ti, si, ntld, perTLD int) (net24, bool) {
+	if si < 255 {
+		return net24{10, byte(ti + 1), byte(si + 1)}, ti < 255
+	}
+	k := ti*(perTLD-255) + si - 255
+	second := ntld + 1 + k/255
+	return net24{10, byte(second), byte(k%255 + 1)}, second <= 255
 }
 
 // signHierarchy signs leaf zones first so DS records can be published in
@@ -240,7 +268,7 @@ func v6(ti, si, hi int) netip.Addr {
 	var b [16]byte
 	b[0], b[1] = 0x20, 0x01
 	b[2], b[3] = 0x0d, 0xb8
-	b[13], b[14], b[15] = byte(ti), byte(si), byte(hi)
+	b[12], b[13], b[14], b[15] = byte(si>>8), byte(ti), byte(si), byte(hi)
 	return netip.AddrFrom16(b)
 }
 

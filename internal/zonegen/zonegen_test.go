@@ -1,6 +1,8 @@
 package zonegen
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 
 	"ldplayer/internal/dnsmsg"
@@ -62,6 +64,55 @@ func TestGenerateStructure(t *testing.T) {
 			t.Errorf("address %s shared by %s and %s", addr, origin, prev)
 		}
 		seen[addr.String()] = origin
+	}
+}
+
+// TestGenerateWideAddressPlan: past 255 SLDs per TLD, nameserver
+// addresses stay distinct (split-horizon views key on them) and so do
+// the SLDs' host addresses.
+func TestGenerateWideAddressPlan(t *testing.T) {
+	h, err := Generate(Config{TLDs: []string{"com", "org", "net"}, SLDsPerTLD: 600, HostsPerSLD: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := map[netip.Addr]dnsmsg.Name{}
+	for origin, addr := range h.NSAddr {
+		if prev, dup := ns[addr]; dup {
+			t.Fatalf("nameserver address %s shared by %s and %s", addr, prev, origin)
+		}
+		ns[addr] = origin
+	}
+	hosts := map[string]dnsmsg.Name{}
+	for _, sld := range h.SLDs {
+		for _, typ := range []dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeAAAA} {
+			set, ok := h.Zones[sld].Lookup("www."+sld, typ)
+			if !ok {
+				t.Fatalf("%s: no www %v", sld, typ)
+			}
+			a := set.RRs()[0].Data.String()
+			if prev, dup := hosts[a]; dup {
+				t.Fatalf("host address %s in both %s and %s", a, prev, sld)
+			}
+			hosts[a] = sld
+		}
+	}
+}
+
+// TestGenerateRejectsOversizedPlans: sizes the address plan cannot
+// number distinctly are errors, not silently wrapped octets.
+func TestGenerateRejectsOversizedPlans(t *testing.T) {
+	many := make([]string, 256)
+	for i := range many {
+		many[i] = fmt.Sprintf("t%d", i)
+	}
+	for name, cfg := range map[string]Config{
+		"256 TLDs":             {TLDs: many, SLDsPerTLD: 1, HostsPerSLD: 1},
+		"157 hosts per SLD":    {TLDs: []string{"com"}, SLDsPerTLD: 1, HostsPerSLD: 157},
+		"SLDs past 10.0.0.0/8": {TLDs: many[:200], SLDsPerTLD: 600, HostsPerSLD: 1},
+	} {
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("%s: Generate accepted a plan whose addresses wrap", name)
+		}
 	}
 }
 
