@@ -2,30 +2,38 @@
 // resolver. Entries hold whole response sections keyed by (qname, qtype),
 // expire on TTL, and are evicted LRU when the cache exceeds its capacity.
 // Negative answers (NXDOMAIN, NODATA) are cached per RFC 2308 using the
-// SOA minimum.
+// SOA minimum. Zone cuts the resolver has learned live in the same cache
+// under delegation keys, which no question can produce.
 package cache
 
 import (
 	"container/list"
+	"net/netip"
 	"sync"
 	"time"
 
 	"ldplayer/internal/dnsmsg"
 )
 
-// Key identifies one cached question.
+// Key identifies one cached question, or, with Delegation set, the zone
+// cut at Name (Type unused). A stub asking (cut, NS) or (cut, 0) builds a
+// key with Delegation false, so it can never be handed a delegation.
 type Key struct {
-	Name dnsmsg.Name
-	Type dnsmsg.Type
+	Name       dnsmsg.Name
+	Type       dnsmsg.Type
+	Delegation bool
 }
 
 // Entry is a cached answer: the sections of the response with the rcode.
-// TTLs in the records are the originals; Remaining adjusts on read.
+// TTLs in the records are the originals; Remaining adjusts on read. A
+// delegation entry holds the cut's NS RRset in Authority and its
+// nameserver addresses in Servers.
 type Entry struct {
 	Rcode      dnsmsg.Rcode
 	Answer     []dnsmsg.RR
 	Authority  []dnsmsg.RR
 	Additional []dnsmsg.RR
+	Servers    []netip.AddrPort
 
 	stored  time.Time
 	ttl     time.Duration
@@ -90,25 +98,45 @@ func (c *Cache) Put(key Key, e *Entry, ttl time.Duration) {
 
 // Get returns a live entry and the time it has left, or nil when absent
 // or expired. The returned entry's record slices must not be modified;
-// callers adjusting TTLs should copy (see EntryWithAdjustedTTL).
+// callers adjusting TTLs should copy (see EntryWithAdjustedTTL). Only
+// question lookups count in Stats; delegation probes do not.
 func (c *Cache) Get(key Key) (*Entry, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e, left := c.live(key)
+	switch {
+	case key.Delegation:
+	case e == nil:
+		c.misses++
+	default:
+		c.hits++
+	}
+	return e, left
+}
+
+func (c *Cache) live(key Key) (*Entry, time.Duration) {
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return nil, 0
 	}
 	left := e.ttl - c.now().Sub(e.stored)
 	if left <= 0 {
 		c.lru.Remove(e.element)
 		delete(c.entries, key)
-		c.misses++
 		return nil, 0
 	}
 	c.lru.MoveToFront(e.element)
-	c.hits++
 	return e, left
+}
+
+// Delete drops key's entry, if any.
+func (c *Cache) Delete(key Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		c.lru.Remove(e.element)
+		delete(c.entries, key)
+	}
 }
 
 // EntryWithAdjustedTTL deep-copies the entry's sections with every TTL

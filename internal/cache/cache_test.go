@@ -118,6 +118,29 @@ func TestAdjustedTTL(t *testing.T) {
 	}
 }
 
+// TestDelegationKeys: a delegation entry shares the cache's TTL, LRU and
+// Flush, but no question key reaches it, and probing it leaves Stats alone.
+func TestDelegationKeys(t *testing.T) {
+	c := New(10)
+	cut := Key{Name: "example.test.", Delegation: true}
+	c.Put(cut, &Entry{Servers: []netip.AddrPort{netip.MustParseAddrPort("192.0.2.53:53")}}, time.Minute)
+	for _, q := range []Key{{Name: "example.test."}, {Name: "example.test.", Type: dnsmsg.TypeNS}} {
+		if e, _ := c.Get(q); e != nil {
+			t.Errorf("question %+v served the delegation", q)
+		}
+	}
+	if e, _ := c.Get(cut); e == nil || len(e.Servers) != 1 {
+		t.Fatalf("delegation lost: %+v", e)
+	}
+	if hits, misses, _ := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("hits=%d misses=%d: delegation probes counted", hits, misses)
+	}
+	c.Delete(cut)
+	if e, _ := c.Get(cut); e != nil || c.Len() != 0 {
+		t.Error("Delete left the delegation")
+	}
+}
+
 func TestFlush(t *testing.T) {
 	c := New(10)
 	c.Put(Key{Name: "x.test.", Type: dnsmsg.TypeA}, entryA("192.0.2.1", 60), time.Minute)

@@ -186,6 +186,15 @@ func TestSignedHierarchyServesDNSSEC(t *testing.T) {
 	if !sawRRSIG || !sawDS {
 		t.Errorf("DNSSEC chain incomplete: rrsig=%v ds=%v", sawRRSIG, sawDS)
 	}
+	// DS lives on the parent side of the cut: with the SLD's delegation
+	// cached, the question still goes to the TLD, which holds the DS.
+	m, err = em.Resolve(context.Background(), h.SLDs[0], dnsmsg.TypeDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Answer) == 0 || m.Answer[0].Type != dnsmsg.TypeDS {
+		t.Errorf("DS answer=%v", m.Answer)
+	}
 }
 
 // The resolver's interface contract holds through the whole emulation.

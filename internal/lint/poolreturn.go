@@ -26,10 +26,9 @@ import (
 // or falling off the end of the function while the message is still
 // held flags the GetMsg call. Subtler transfers — sending the message
 // on a channel, stashing it in a struct — carry an //ldp:nolint
-// poolreturn comment on the GetMsg line with the ownership story (see
-// resolver.ServeUDP); the bufalias checker audits those same escapes
-// from the buffer-lifetime side. Leaks via break or goto are not
-// modeled.
+// poolreturn comment on the GetMsg line with the ownership story; the
+// bufalias checker audits those same escapes from the buffer-lifetime
+// side. Leaks via break or goto are not modeled.
 type PoolReturn struct {
 	ModulePath string
 }

@@ -93,9 +93,8 @@ func stashMsg(st *store, wire []byte) error {
 }
 
 // handoff passes a pooled message to a goroutine. Flagged even though
-// the spawned body returns it: real call sites justify the handoff with
-// a bufalias suppression carrying the ownership story (resolver.ServeUDP
-// does).
+// the spawned body returns it: a real call site justifies the handoff
+// with a bufalias suppression carrying the ownership story.
 func handoff() {
 	m := dnsmsg.GetMsg()
 	go func(req *dnsmsg.Msg) { // want "passed to a spawned goroutine"

@@ -10,6 +10,12 @@ var (
 	obsCacheHits   = obs.Default.Counter("resolver.cache.hits")
 	obsCacheMisses = obs.Default.Counter("resolver.cache.misses")
 
+	// Every answer-cache miss walks, and counts once here by where the walk
+	// started: the root hints, or a cached zone cut. Their ratio and
+	// resolver.upstream.queries explain the upstream exchanges per stub.
+	obsWalkFromRoot = obs.Default.Counter("resolver.walk.from_root")
+	obsWalkFromCut  = obs.Default.Counter("resolver.walk.from_cut")
+
 	// obsUpstreamQueries counts every query sent toward an authoritative
 	// server; obsUpstreamRetries counts the subset that were re-asks after
 	// an earlier server in the list failed or answered SERVFAIL/REFUSED.

@@ -1,6 +1,7 @@
 // Package resolver implements an iterative (recursive-resolving) DNS
-// server engine: it walks the hierarchy from the root hints, follows
-// referrals and CNAMEs, caches with TTLs, and can tap its upstream
+// server engine: it walks the hierarchy from the closest cached zone cut
+// (the root hints when the cache is cold), follows referrals and CNAMEs,
+// caches answers and delegations with TTLs, and can tap its upstream
 // traffic so the zone constructor can rebuild zones from what a cold
 // cache walk touches — exactly the paper's §2.3 construction procedure.
 package resolver
@@ -115,34 +116,66 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 	}
 	obsCacheMisses.Inc()
 
-	servers := append([]netip.AddrPort(nil), r.cfg.Roots...)
-	seenZones := map[string]bool{}
+	// Start at the deepest cached zone cut enclosing qname (RFC 1034
+	// §5.3.3). DS lives on the parent side of a cut, so its walk starts
+	// above qname.
+	from := qname
+	if qtype == dnsmsg.TypeDS {
+		from = qname.Parent()
+	}
+	cut, servers := r.closestCut(from)
+	if cut == dnsmsg.Root {
+		obsWalkFromRoot.Inc()
+	} else {
+		obsWalkFromCut.Inc()
+	}
+	resp, lame, err := r.walk(ctx, qname, qtype, cut, servers)
+	if lame && cut != dnsmsg.Root && ctx.Err() == nil {
+		// Every server of the cached cut failed, but its parent may have
+		// re-delegated: forget the cut and walk once more from above it.
+		r.cache.Delete(cache.Key{Name: cut, Delegation: true})
+		cut, servers = r.closestCut(cut.Parent())
+		resp, _, err = r.walk(ctx, qname, qtype, cut, servers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.store(key, resp)
+	return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth)
+}
+
+// closestCut returns the deepest live cached zone cut at or above name
+// with its servers, or the root and its hints when none is cached.
+func (r *Resolver) closestCut(name dnsmsg.Name) (dnsmsg.Name, []netip.AddrPort) {
+	for ; name != dnsmsg.Root; name = name.Parent() {
+		if e, _ := r.cache.Get(cache.Key{Name: name, Delegation: true}); e != nil {
+			return name, e.Servers
+		}
+	}
+	return dnsmsg.Root, r.cfg.Roots
+}
+
+// walk asks the servers of zone cut about (qname, qtype) and follows
+// referrals down to a terminal response: an answer, NXDOMAIN or NODATA.
+// lame reports that every server of cut itself failed.
+func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cut dnsmsg.Name, servers []netip.AddrPort) (resp *dnsmsg.Msg, lame bool, err error) {
 	for depth := 0; depth < r.cfg.MaxReferrals; depth++ {
-		resp, err := r.queryAny(ctx, servers, qname, qtype)
-		if err != nil {
-			return nil, err
+		if resp, err = r.queryAny(ctx, servers, qname, qtype); err != nil {
+			return nil, depth == 0, err
 		}
 		switch {
 		case resp.Rcode == dnsmsg.RcodeNXDomain,
 			resp.Rcode == dnsmsg.RcodeSuccess && (len(resp.Answer) > 0 || !hasReferral(resp)):
-			// Terminal: answer, NXDOMAIN, or NODATA.
-			r.store(key, resp)
-			return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth)
+			return resp, false, nil
 		case hasReferral(resp):
-			zoneName, next, err := r.followReferral(ctx, resp)
-			if err != nil {
-				return nil, err
+			if cut, servers, err = r.followReferral(ctx, resp, cut, qname); err != nil {
+				return nil, false, err
 			}
-			if seenZones[string(zoneName)] {
-				return nil, ErrLoop
-			}
-			seenZones[string(zoneName)] = true
-			servers = next
 		default:
-			return nil, fmt.Errorf("%w: rcode %s", ErrUpstreamFail, resp.Rcode)
+			return nil, false, fmt.Errorf("%w: rcode %s", ErrUpstreamFail, resp.Rcode)
 		}
 	}
-	return nil, ErrLoop
+	return nil, false, ErrLoop
 }
 
 // chaseCNAME restarts resolution at an alias target when the answer ends
@@ -174,46 +207,59 @@ func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.N
 }
 
 // followReferral extracts the delegated zone and nameserver addresses
-// from a referral, resolving glue-less NS names as needed.
-func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg) (dnsmsg.Name, []netip.AddrPort, error) {
+// from a referral received at zone cut, resolving glue-less NS names as
+// needed, and caches the delegation under the TTL of the shortest-lived
+// NS or address record it rests on. A referral must name a zone strictly
+// below cut that encloses qname; any other (back to a zone already
+// visited, upward or sideways) could loop or plant a delegation the walk
+// never needed, so it ends the walk with ErrLoop.
+func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg, cut, qname dnsmsg.Name) (dnsmsg.Name, []netip.AddrPort, error) {
 	var zoneName dnsmsg.Name
-	var nsNames []dnsmsg.Name
+	var ns []dnsmsg.RR
 	for _, rr := range resp.Authority {
 		if rr.Type == dnsmsg.TypeNS {
 			zoneName = rr.Name
-			nsNames = append(nsNames, rr.Data.(dnsmsg.NS).Host)
+			ns = append(ns, rr)
 		}
 	}
+	if zoneName == cut || !zoneName.IsSubdomainOf(cut) || !qname.IsSubdomainOf(zoneName) {
+		return "", nil, ErrLoop
+	}
+	ttl := cache.MinTTL(ns)
 	var addrs []netip.AddrPort
-	for _, rr := range resp.Additional {
+	addAddr := func(rr dnsmsg.RR) {
 		switch d := rr.Data.(type) {
 		case dnsmsg.A:
 			addrs = append(addrs, netip.AddrPortFrom(d.Addr, 53))
 		case dnsmsg.AAAA:
 			addrs = append(addrs, netip.AddrPortFrom(d.Addr, 53))
+		default:
+			return
 		}
+		ttl = min(ttl, time.Duration(rr.TTL)*time.Second)
 	}
-	if len(addrs) > 0 {
-		return zoneName, addrs, nil
+	for _, rr := range resp.Additional {
+		addAddr(rr)
 	}
 	// Glue-less delegation: resolve the nameserver names themselves.
-	for _, ns := range nsNames {
-		sub, err := r.resolve(ctx, ns, dnsmsg.TypeA, 0)
+	for _, rr := range ns {
+		if len(addrs) > 0 {
+			break
+		}
+		sub, err := r.resolve(ctx, rr.Data.(dnsmsg.NS).Host, dnsmsg.TypeA, 0)
 		if err != nil {
 			continue
 		}
 		for _, rr := range sub.Answer {
-			if a, ok := rr.Data.(dnsmsg.A); ok {
-				addrs = append(addrs, netip.AddrPortFrom(a.Addr, 53))
+			if rr.Type == dnsmsg.TypeA {
+				addAddr(rr)
 			}
-		}
-		if len(addrs) > 0 {
-			break
 		}
 	}
 	if len(addrs) == 0 {
-		return zoneName, nil, ErrLame
+		return "", nil, ErrLame
 	}
+	r.cache.Put(cache.Key{Name: zoneName, Delegation: true}, &cache.Entry{Authority: ns, Servers: addrs}, ttl)
 	return zoneName, addrs, nil
 }
 

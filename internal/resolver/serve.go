@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"ldplayer/internal/dnsmsg"
@@ -45,65 +45,100 @@ func (r *Resolver) HandleStub(ctx context.Context, req *dnsmsg.Msg) *dnsmsg.Msg 
 	return resp
 }
 
-// ServeUDP answers stub queries on conn until ctx ends. Each query
-// resolves in its own goroutine (bounded), since one slow upstream walk
-// must not head-of-line-block the rest — recursive servers are
-// concurrent by nature.
+// ServeUDP answers stub queries on conn until ctx ends, up to
+// maxInflight (default 256) at once: one slow upstream walk must not
+// hold up the rest — recursive servers are concurrent by nature. One
+// goroutine reads at a time; once it has a query, it starts the next
+// reader and answers the query itself, so no answer waits for a
+// goroutine to be scheduled (a wake-up costs more than a resolution
+// through the in-process hierarchy). ServeUDP returns once every answer
+// in flight has been sent.
 func (r *Resolver) ServeUDP(ctx context.Context, conn net.PacketConn, maxInflight int) error {
 	if maxInflight <= 0 {
 		maxInflight = 256
 	}
-	sem := make(chan struct{}, maxInflight)
 	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) }) //ldp:nolint errcheck — best-effort unblock of the read loop on cancel
 	defer stop()
-	var inflight atomic.Int64
+	f := &udpFront{r: r, ctx: ctx, conn: conn, slots: make(chan struct{}, maxInflight), done: make(chan error, 1)}
+	f.wg.Add(1)
+	go f.read()
+	err := <-f.done
+	f.wg.Wait()
+	return err
+}
+
+// udpFront is the state ServeUDP's goroutines share.
+type udpFront struct {
+	r     *Resolver
+	ctx   context.Context
+	conn  net.PacketConn
+	slots chan struct{} // one per query being read or answered
+	done  chan error    // the reader that stops says why
+	wg    sync.WaitGroup
+}
+
+// read waits for a query, hands the reading on to a new goroutine and
+// answers the query.
+func (f *udpFront) read() {
+	defer f.wg.Done()
+	select {
+	case f.slots <- struct{}{}:
+	case <-f.ctx.Done():
+		f.done <- nil
+		return
+	}
+	defer func() { <-f.slots }()
+	req, addr, err := f.next()
+	if err != nil {
+		if f.ctx.Err() != nil {
+			err = nil
+		}
+		f.done <- err
+		return
+	}
+	f.wg.Add(1)
+	go f.read()
+	f.answer(req, addr)
+}
+
+// next reads until a datagram decodes as a message, skipping malformed
+// ones and read timeouts other than the cancellation's.
+func (f *udpFront) next() (*dnsmsg.Msg, net.Addr, error) {
 	bp := transport.GetBuf()
 	defer transport.PutBuf(bp)
-	buf := *bp
 	for {
-		n, addr, err := conn.ReadFrom(buf)
+		n, addr, err := f.conn.ReadFrom(*bp)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Drain in-flight work before returning.
-				for inflight.Load() > 0 {
-					time.Sleep(time.Millisecond)
-				}
-				return nil
-			}
 			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
+			if f.ctx.Err() == nil && errors.As(err, &nerr) && nerr.Timeout() {
 				continue
 			}
-			return err
+			return nil, nil, err
 		}
-		// Decode through the message pool; ownership of req transfers to
-		// the handler goroutine, which returns it. The question name is
-		// cloned off the decode arena first: Resolve may retain it (cache
-		// keys, upstream questions) past this message's reuse.
+		// Decode through the message pool. The question name is cloned
+		// off the decode arena: Resolve may retain it (cache keys,
+		// upstream questions) past this message's reuse.
 		req := dnsmsg.GetMsg()
-		if err := req.UnpackBuffer(buf[:n]); err != nil {
+		if err := req.UnpackBuffer((*bp)[:n]); err != nil {
 			dnsmsg.PutMsg(req)
 			continue
 		}
 		for i := range req.Question {
 			req.Question[i].Name = req.Question[i].Name.Clone()
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			dnsmsg.PutMsg(req)
-			continue
-		}
-		inflight.Add(1)
-		//ldp:nolint bufalias — ownership handoff: the accept loop never touches req again, and the goroutine returns it to the pool on every path before the arena can recycle
-		go func(req *dnsmsg.Msg, addr net.Addr) {
-			defer func() { dnsmsg.PutMsg(req); <-sem; inflight.Add(-1) }()
-			resp := r.HandleStub(ctx, req)
-			wire, err := resp.Pack()
-			if err != nil {
-				return
-			}
-			conn.WriteTo(wire, addr) //ldp:nolint errcheck — per-datagram send failure; UDP clients retry, server keeps serving
-		}(req, addr)
+		return req, addr, nil
 	}
+}
+
+// answer resolves req and sends the reply, packed into a borrowed buffer.
+func (f *udpFront) answer(req *dnsmsg.Msg, addr net.Addr) {
+	defer dnsmsg.PutMsg(req)
+	resp := f.r.HandleStub(f.ctx, req)
+	bp := transport.GetBuf()
+	defer transport.PutBuf(bp)
+	wire, err := resp.AppendPack((*bp)[:0])
+	if err != nil {
+		return
+	}
+	f.conn.WriteTo(wire, addr) //ldp:nolint errcheck — per-datagram send failure; UDP clients retry, server keeps serving
 }
