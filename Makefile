@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-check bench-selftest vet lint check fuzz-smoke experiments tools clean
+.PHONY: all build test race bench bench-check bench-selftest vet fmt-check lint check fuzz-smoke experiments tools clean
 
 # Per-target budget for the fuzz smoke pass (see fuzz-smoke).
 FUZZTIME ?= 30s
@@ -24,6 +24,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Tracked Go files outside testdata/ must be gofmt-clean. The golden
+# fixtures under testdata/ are exempt: their `// want` lines are
+# position-sensitive.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
 # Project-specific static analysis: go vet plus ldp-vet, which enforces
 # LDplayer's architectural invariants (transport-only I/O, simulated
 # clock discipline, metric naming, stats atomicity, error checking,
@@ -41,7 +48,7 @@ bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Everything CI runs, in one target.
-check: build vet lint test race bench-selftest
+check: build vet fmt-check lint test race bench-selftest
 
 # Short fuzz pass over the wire-format decoders (plus the differential
 # pooled-vs-reference decode target); CI runs this on every push. Crash

@@ -33,10 +33,10 @@ var errCheckExemptFuncs = map[string]bool{
 	"fmt.Printf":  true,
 	"fmt.Println": true,
 
-	"(*bytes.Buffer).Write":        true,
-	"(*bytes.Buffer).WriteString":  true,
-	"(*bytes.Buffer).WriteByte":    true,
-	"(*bytes.Buffer).WriteRune":    true,
+	"(*bytes.Buffer).Write":          true,
+	"(*bytes.Buffer).WriteString":    true,
+	"(*bytes.Buffer).WriteByte":      true,
+	"(*bytes.Buffer).WriteRune":      true,
 	"(*strings.Builder).Write":       true,
 	"(*strings.Builder).WriteString": true,
 	"(*strings.Builder).WriteByte":   true,

@@ -51,10 +51,10 @@ var simClockMeasurementFuncs = map[string]bool{
 // simClockRandConstructors are the math/rand package-level functions
 // that build seeded sources rather than consuming the global one.
 var simClockRandConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 

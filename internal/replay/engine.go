@@ -71,6 +71,7 @@ func (e *Engine) run(ctx context.Context, input trace.Reader,
 		Timeouts:    now.timeouts - base.timeouts,
 		ConnsOpened: now.connsOpened - base.connsOpened,
 		IDExhausted: now.idExhausted - base.idExhausted,
+		IDWrapped:   now.idWrapped - base.idWrapped,
 		BytesSent:   now.bytesSent - base.bytesSent,
 	}
 	var firstSend, lastSend time.Time

@@ -31,6 +31,8 @@ type echoFabric struct {
 	// truncate, if positive, cuts every reflected datagram to at most
 	// that many bytes: a server answering with less than a DNS header.
 	truncate int
+	// silent makes packet sockets accept every datagram and answer none.
+	silent bool
 }
 
 // Dial implements transport.Dialer for the reference plane: a
@@ -51,7 +53,7 @@ func (echoFabric) Dial(_ context.Context, proto transport.Proto, _ netip.AddrPor
 // plane: an unconnected socket whose native batch path moves one
 // response batch per hand-off.
 func (f echoFabric) ListenPacketConn() (net.PacketConn, error) {
-	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{}), refuse: f.refuse, truncate: f.truncate}, nil
+	return &echoPacketConn{ch: make(chan echoBatch, 128), done: make(chan struct{}), refuse: f.refuse, truncate: f.truncate, silent: f.silent}, nil
 }
 
 type echoBuf struct {
@@ -154,6 +156,7 @@ type echoPacketConn struct {
 	closeOnce sync.Once
 	refuse    int // datagrams still to refuse; writer goroutine only
 	truncate  int
+	silent    bool
 }
 
 // WriteBatch reflects every datagram into one queued response batch —
@@ -166,6 +169,9 @@ func (c *echoPacketConn) WriteBatch(ms []transport.Datagram) (int, error) {
 	}
 	refused := min(c.refuse, len(ms))
 	c.refuse -= refused
+	if c.silent {
+		return len(ms) - refused, nil
+	}
 	out := transport.GetBatch()
 	ob := *out
 	n := 0

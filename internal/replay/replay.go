@@ -146,6 +146,10 @@ type Report struct {
 	// all 65536 DNS query IDs in flight (the trace outran the server by
 	// a full ID space on one source); UDP never refuses (see udpSender).
 	IDExhausted uint64
+	// IDWrapped counts UDP queries written off early, as Timeouts,
+	// because their querier sent 65536 more queries while they were
+	// still unanswered and the ID came round again.
+	IDWrapped uint64
 	// Duration is wall-clock time from first to last send.
 	Duration time.Duration
 	// BytesSent counts query payload bytes.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,77 @@ func TestUDPSenderUnavailable(t *testing.T) {
 			t.Errorf("%s: sent=%d sendErrs=%d responses=%d timeouts=%d; want 0/%d/0/0",
 				name, rep.Sent, rep.SendErrs, rep.Responses, rep.Timeouts, n)
 		}
+	}
+}
+
+// askingFabric is the echo fabric whose packet sockets record the
+// receive buffer the engine asks of them.
+type askingFabric struct {
+	echoFabric
+	asked *atomic.Int64
+}
+
+type askedPacketConn struct {
+	*echoPacketConn
+	asked *atomic.Int64
+}
+
+func (c askedPacketConn) SetReadBuffer(n int) error {
+	c.asked.Store(int64(n))
+	return nil
+}
+
+func (f askingFabric) ListenPacketConn() (net.PacketConn, error) {
+	pc, err := f.echoFabric.ListenPacketConn()
+	if err != nil {
+		return nil, err
+	}
+	return askedPacketConn{pc.(*echoPacketConn), f.asked}, nil
+}
+
+// TestUDPSenderGrowsReadBuffer: in both modes the querier asks the
+// socket its dialer hands it for a receive buffer of at least 4 MiB,
+// so a stalled read loop does not turn replies into timeouts.
+func TestUDPSenderGrowsReadBuffer(t *testing.T) {
+	const n = 200
+	for mode, name := range map[Mode]string{FastAsPossible: "fast", Timed: "timed"} {
+		var asked atomic.Int64
+		cfg := fastConfig(fabricServer, askingFabric{asked: &asked})
+		cfg.Mode = mode
+		rep, err := runPlane(context.Background(), cfg, &cycleSource{events: benchEvents(t, 4, 64), total: n}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asked.Load() < 4<<20 || rep.Responses != n {
+			t.Errorf("%s: asked for a %d-byte read buffer, %d of %d answered; want >= 4 MiB, all", name, asked.Load(), rep.Responses, n)
+		}
+	}
+}
+
+// TestUDPIDWrapCounted: with a server that never answers, one querier
+// sending more than 65536 queries comes round to IDs that are still
+// live. Each such query is written off early as a timeout and counted
+// in IDWrapped; every query is still settled exactly once.
+func TestUDPIDWrapCounted(t *testing.T) {
+	const n = 1<<16 + 1000
+	reg := obs.NewRegistry()
+	cfg := fastConfig(fabricServer, echoFabric{silent: true})
+	cfg.QueriersPerDistributor, cfg.Obs = 1, reg
+	rep, err := runPlane(context.Background(), cfg, &cycleSource{events: benchEvents(t, 4, 64), total: n}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent != n || rep.Responses != 0 || rep.SendErrs != 0 {
+		t.Fatalf("sent=%d responses=%d sendErrs=%d; want %d/0/0", rep.Sent, rep.Responses, rep.SendErrs, n)
+	}
+	if rep.IDWrapped != n-1<<16 {
+		t.Errorf("IDWrapped=%d, want %d", rep.IDWrapped, n-1<<16)
+	}
+	if got := reg.Snapshot().Counters["replay.id_wrapped"]; got != rep.IDWrapped {
+		t.Errorf("replay.id_wrapped=%d, Report.IDWrapped=%d", got, rep.IDWrapped)
+	}
+	if rep.Responses+rep.Timeouts != rep.Sent {
+		t.Errorf("responses %d + timeouts %d != sent %d", rep.Responses, rep.Timeouts, rep.Sent)
 	}
 }
 

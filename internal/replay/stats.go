@@ -21,7 +21,10 @@ type stats struct {
 	timeouts    *obs.Counter
 	connsOpened *obs.Counter
 	idExhausted *obs.Counter
-	bytesSent   *obs.Counter
+	// idWrapped counts UDP queries written off as timeouts because the
+	// querier's ID space came round to them while they were live.
+	idWrapped *obs.Counter
+	bytesSent *obs.Counter
 	// badResponses counts matched responses whose wire form failed to
 	// decode — a server answering garbage shows up here, not as silence.
 	badResponses *obs.Counter
@@ -60,6 +63,7 @@ func newStats(reg *obs.Registry) *stats {
 		timeouts:     reg.Counter("replay.timeouts"),
 		connsOpened:  reg.Counter("replay.conns_opened"),
 		idExhausted:  reg.Counter("replay.id_exhausted"),
+		idWrapped:    reg.Counter("replay.id_wrapped"),
 		bytesSent:    reg.Counter("replay.bytes_sent"),
 		badResponses: reg.Counter("replay.bad_responses"),
 		rtt:          reg.Histogram("replay.rtt_seconds", obs.FineLatencyBuckets),
@@ -76,8 +80,8 @@ func newStats(reg *obs.Registry) *stats {
 // counterValues is one reading of every replay counter; Run diffs two of
 // these so a Report stays per-run even on a shared long-lived registry.
 type counterValues struct {
-	sent, responses, sendErrs, timeouts uint64
-	connsOpened, idExhausted, bytesSent uint64
+	sent, responses, sendErrs, timeouts            uint64
+	connsOpened, idExhausted, idWrapped, bytesSent uint64
 }
 
 func statValues(st *stats) counterValues {
@@ -88,6 +92,7 @@ func statValues(st *stats) counterValues {
 		timeouts:    st.timeouts.Value(),
 		connsOpened: st.connsOpened.Value(),
 		idExhausted: st.idExhausted.Value(),
+		idWrapped:   st.idWrapped.Value(),
 		bytesSent:   st.bytesSent.Value(),
 	}
 }

@@ -26,7 +26,7 @@ import (
 // the result index, then stores the send time; the reader Swap(0)s the
 // send time and, if it was live, reads the result index. Wrapping past
 // a still-live slot means the response never came within a full ID
-// space of sends — counted as a timeout.
+// space of sends — counted as a timeout, and as replay.id_wrapped.
 type udpSender struct {
 	q   *querier
 	pc  net.PacketConn
@@ -72,6 +72,8 @@ func newUDPSender(q *querier) (*udpSender, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Replies land here while the read loop may be off its core.
+	transport.GrowReadBuffer(pc)
 	s := &udpSender{
 		q:        q,
 		pc:       pc,
@@ -111,10 +113,10 @@ func (s *udpSender) stage(it item, now time.Time) {
 	}
 	id := uint16(s.nextID)
 	s.nextID++
-	if s.sendNs[id].Swap(0) != 0 {
+	if s.sendNs[id].Swap(0) != 0 && s.expire() {
 		// Wrapped onto a live slot: the query a full ID space ago never
-		// got its response.
-		s.expire()
+		// got its response, and is written off before its timeout.
+		s.q.st.idWrapped.Inc()
 	}
 	s.resIdx[id].Store(idx)
 	d := &s.out[s.fill]
@@ -241,12 +243,14 @@ func (s *udpSender) close() {
 }
 
 // expire settles a slot a sweep found still live: a timeout, unless
-// flush already settled it as a refused datagram.
-func (s *udpSender) expire() {
+// flush already settled it as a refused datagram. It reports whether it
+// counted a timeout.
+func (s *udpSender) expire() bool {
 	if s.refused > 0 {
 		s.refused--
-		return
+		return false
 	}
 	s.q.st.timeouts.Inc()
 	s.q.inflight.Add(-1)
+	return true
 }

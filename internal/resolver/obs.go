@@ -21,4 +21,9 @@ var (
 	// an earlier server in the list failed or answered SERVFAIL/REFUSED.
 	obsUpstreamQueries = obs.Default.Counter("resolver.upstream.queries")
 	obsUpstreamRetries = obs.Default.Counter("resolver.upstream.retries")
+
+	// obsGluelessDepthExceeded counts referrals given up because their
+	// nameserver names could only be resolved through more than
+	// maxGlueless nested glue-less resolutions.
+	obsGluelessDepthExceeded = obs.Default.Counter("resolver.glueless.depth_exceeded")
 )

@@ -100,10 +100,17 @@ func (r *Resolver) Cache() *cache.Cache { return r.cache }
 // The returned message has Rcode and sections filled; the caller stamps
 // ID and header bits for its client.
 func (r *Resolver) Resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Msg, error) {
-	return r.resolve(ctx, qname, qtype, 0)
+	return r.resolve(ctx, qname, qtype, 0, 0)
 }
 
-func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cnameDepth int) (*dnsmsg.Msg, error) {
+// maxGlueless bounds how deeply resolving one glue-less nameserver name
+// may need another: two zones whose glue-less NS names point at each
+// other would otherwise recurse without end.
+const maxGlueless = 4
+
+// resolve is Resolve inside cnameDepth alias hops and glueless nested
+// nameserver-name resolutions.
+func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cnameDepth, glueless int) (*dnsmsg.Msg, error) {
 	if cnameDepth > r.cfg.MaxCNAME {
 		return nil, ErrCNAMEChain
 	}
@@ -112,7 +119,7 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 		obsCacheHits.Inc()
 		adj := cache.EntryWithAdjustedTTL(e, left)
 		m := &dnsmsg.Msg{Rcode: adj.Rcode, Answer: adj.Answer, Authority: adj.Authority}
-		return r.chaseCNAME(ctx, m, qname, qtype, cnameDepth)
+		return r.chaseCNAME(ctx, m, qname, qtype, cnameDepth, glueless)
 	}
 	obsCacheMisses.Inc()
 
@@ -129,19 +136,19 @@ func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 	} else {
 		obsWalkFromCut.Inc()
 	}
-	resp, lame, err := r.walk(ctx, qname, qtype, cut, servers)
+	resp, lame, err := r.walk(ctx, qname, qtype, cut, servers, glueless)
 	if lame && cut != dnsmsg.Root && ctx.Err() == nil {
 		// Every server of the cached cut failed, but its parent may have
 		// re-delegated: forget the cut and walk once more from above it.
 		r.cache.Delete(cache.Key{Name: cut, Delegation: true})
 		cut, servers = r.closestCut(cut.Parent())
-		resp, _, err = r.walk(ctx, qname, qtype, cut, servers)
+		resp, _, err = r.walk(ctx, qname, qtype, cut, servers, glueless)
 	}
 	if err != nil {
 		return nil, err
 	}
 	r.store(key, resp)
-	return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth)
+	return r.chaseCNAME(ctx, resp, qname, qtype, cnameDepth, glueless)
 }
 
 // closestCut returns the deepest live cached zone cut at or above name
@@ -158,7 +165,7 @@ func (r *Resolver) closestCut(name dnsmsg.Name) (dnsmsg.Name, []netip.AddrPort) 
 // walk asks the servers of zone cut about (qname, qtype) and follows
 // referrals down to a terminal response: an answer, NXDOMAIN or NODATA.
 // lame reports that every server of cut itself failed.
-func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cut dnsmsg.Name, servers []netip.AddrPort) (resp *dnsmsg.Msg, lame bool, err error) {
+func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cut dnsmsg.Name, servers []netip.AddrPort, glueless int) (resp *dnsmsg.Msg, lame bool, err error) {
 	for depth := 0; depth < r.cfg.MaxReferrals; depth++ {
 		if resp, err = r.queryAny(ctx, servers, qname, qtype); err != nil {
 			return nil, depth == 0, err
@@ -168,7 +175,7 @@ func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Typ
 			resp.Rcode == dnsmsg.RcodeSuccess && (len(resp.Answer) > 0 || !hasReferral(resp)):
 			return resp, false, nil
 		case hasReferral(resp):
-			if cut, servers, err = r.followReferral(ctx, resp, cut, qname); err != nil {
+			if cut, servers, err = r.followReferral(ctx, resp, cut, qname, glueless); err != nil {
 				return nil, false, err
 			}
 		default:
@@ -180,7 +187,7 @@ func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Typ
 
 // chaseCNAME restarts resolution at an alias target when the answer ends
 // in a CNAME without covering qtype.
-func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.Name, qtype dnsmsg.Type, depth int) (*dnsmsg.Msg, error) {
+func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.Name, qtype dnsmsg.Type, depth, glueless int) (*dnsmsg.Msg, error) {
 	if qtype == dnsmsg.TypeCNAME || len(m.Answer) == 0 {
 		return m, nil
 	}
@@ -196,7 +203,7 @@ func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.N
 			return m, nil
 		}
 	}
-	sub, err := r.resolve(ctx, cn.Target, qtype, depth+1)
+	sub, err := r.resolve(ctx, cn.Target, qtype, depth+1, glueless)
 	if err != nil {
 		return m, nil // serve the partial chain; clients retry the target
 	}
@@ -208,12 +215,12 @@ func (r *Resolver) chaseCNAME(ctx context.Context, m *dnsmsg.Msg, qname dnsmsg.N
 
 // followReferral extracts the delegated zone and nameserver addresses
 // from a referral received at zone cut, resolving glue-less NS names as
-// needed, and caches the delegation under the TTL of the shortest-lived
+// needed (glueless of them are already being resolved above), and caches the delegation under the TTL of the shortest-lived
 // NS or address record it rests on. A referral must name a zone strictly
 // below cut that encloses qname; any other (back to a zone already
 // visited, upward or sideways) could loop or plant a delegation the walk
 // never needed, so it ends the walk with ErrLoop.
-func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg, cut, qname dnsmsg.Name) (dnsmsg.Name, []netip.AddrPort, error) {
+func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg, cut, qname dnsmsg.Name, glueless int) (dnsmsg.Name, []netip.AddrPort, error) {
 	var zoneName dnsmsg.Name
 	var ns []dnsmsg.RR
 	for _, rr := range resp.Authority {
@@ -241,12 +248,22 @@ func (r *Resolver) followReferral(ctx context.Context, resp *dnsmsg.Msg, cut, qn
 	for _, rr := range resp.Additional {
 		addAddr(rr)
 	}
-	// Glue-less delegation: resolve the nameserver names themselves.
+	// Glue-less delegation: resolve the nameserver names themselves. A
+	// name inside the delegated zone can only be found through the
+	// delegation being resolved, so without glue it is no use.
 	for _, rr := range ns {
 		if len(addrs) > 0 {
 			break
 		}
-		sub, err := r.resolve(ctx, rr.Data.(dnsmsg.NS).Host, dnsmsg.TypeA, 0)
+		host := rr.Data.(dnsmsg.NS).Host
+		if host.IsSubdomainOf(zoneName) {
+			continue
+		}
+		if glueless >= maxGlueless {
+			obsGluelessDepthExceeded.Inc()
+			break
+		}
+		sub, err := r.resolve(ctx, host, dnsmsg.TypeA, 0, glueless+1)
 		if err != nil {
 			continue
 		}

@@ -205,6 +205,60 @@ func TestGluelessDelegation(t *testing.T) {
 	}
 }
 
+// stubAsk sends one stub query for (name, A) through HandleStub.
+func stubAsk(r *Resolver, name dnsmsg.Name) *dnsmsg.Msg {
+	q := &dnsmsg.Msg{ID: 7, RecursionDesired: true}
+	q.SetQuestion(name, dnsmsg.TypeA)
+	return r.HandleStub(context.Background(), q)
+}
+
+// TestGluelessInZoneNSFails: a delegation whose only nameserver lies
+// inside the delegated zone, with no glue, can only be reached through
+// itself. The stub gets SERVFAIL after the root and com exchanges.
+func TestGluelessInZoneNSFails(t *testing.T) {
+	h := newHierarchy(t)
+	h.servers[comAddr] = authServer(t, comZoneText+"self IN NS ns.self.com.\n")
+	r := newResolver(t, h, nil)
+	if resp := stubAsk(r, "www.self.com."); resp.Rcode != dnsmsg.RcodeServFail {
+		t.Fatalf("rcode=%v want SERVFAIL", resp.Rcode)
+	}
+	if n := h.exchanges.Load(); n != 2 {
+		t.Errorf("exchanges=%d want 2 (root, com)", n)
+	}
+}
+
+// netZoneText is a net TLD served beside com, for cross-TLD delegations.
+const netZoneText = `
+$ORIGIN net.
+$TTL 172800
+@ IN SOA a.gtld-servers.net. nstld. 1 1800 900 604800 86400
+@ IN NS a.gtld-servers.net.
+a.gtld-servers.net. IN A 192.5.6.30
+`
+
+// TestGluelessMutualNSFails: a.com's only nameserver is ns.b.net and
+// b.net's is ns.a.com, neither with glue. Each name needs the other to
+// resolve; the nesting bound ends the chase in SERVFAIL after a bounded
+// number of exchanges, and resolver.glueless.depth_exceeded counts it.
+func TestGluelessMutualNSFails(t *testing.T) {
+	h := newHierarchy(t)
+	h.servers[rootAddr] = authServer(t, rootZoneText+"net. IN NS a.gtld-servers.net.\n")
+	h.servers[comAddr] = authServer(t, comZoneText+"a IN NS ns.b.net.\n", netZoneText+"b IN NS ns.a.com.\n")
+	r := newResolver(t, h, nil)
+	exceeded := obsGluelessDepthExceeded.Value()
+	if resp := stubAsk(r, "www.a.com."); resp.Rcode != dnsmsg.RcodeServFail {
+		t.Fatalf("rcode=%v want SERVFAIL", resp.Rcode)
+	}
+	// Root and com, then one referral per nested name (the first through
+	// root and net), the last refused for depth.
+	if n, most := h.exchanges.Load(), int64(2+1+maxGlueless); n != most {
+		t.Errorf("exchanges=%d want %d", n, most)
+	}
+	if d := obsGluelessDepthExceeded.Value() - exceeded; d != 1 {
+		t.Errorf("resolver.glueless.depth_exceeded moved by %d, want 1", d)
+	}
+}
+
 func TestTapSeesAllExchanges(t *testing.T) {
 	h := newHierarchy(t)
 	var taps []netip.AddrPort

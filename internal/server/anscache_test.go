@@ -32,7 +32,8 @@ many IN TXT "hhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhh"
 // answer cache) produces byte-identical output to the reference path
 // (HandleQuery then Pack) — on the first call (cache miss), the second
 // (admission), and the third (cache hit with header patch), across
-// answer shapes, EDNS/DO variants, rejections, and truncation.
+// answer shapes (ANY included: its sets come in one fixed order),
+// EDNS/DO variants, rejections, and truncation.
 func TestHandleQueryWireEquivalence(t *testing.T) {
 	s := New(Config{MaxUDPSize: 512})
 	if err := s.AddZone(mustParse(t, exampleComZone)); err != nil {
@@ -71,6 +72,8 @@ func TestHandleQueryWireEquivalence(t *testing.T) {
 		{"notimpl", notimpl, 512},
 		{"truncated", query("many.big.test.", dnsmsg.TypeTXT), 512},
 		{"trunc-edns-fits", edns("many.big.test.", dnsmsg.TypeTXT, 4096, false), 512},
+		{"any", query("example.com.", dnsmsg.TypeANY), 512},
+		{"any-do", edns("example.com.", dnsmsg.TypeANY, 1232, true), 512},
 	}
 
 	for _, tc := range cases {

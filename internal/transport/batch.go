@@ -58,6 +58,23 @@ func ListenUDPUnconnected(dst netip.AddrPort) (net.PacketConn, error) {
 	return net.ListenUDP(network, nil)
 }
 
+// readBuffer is the receive buffer asked for on the UDP sockets that
+// carry bulk traffic: server shards and replay queriers. A reader held
+// off its core for 30–40 ms (a host stall) comes back to a burst the
+// default 208 KiB overflows, and every datagram it drops is a lost
+// query. The kernel grants at most net.core.rmem_max.
+const readBuffer = 4 << 20
+
+// GrowReadBuffer asks for readBuffer bytes of receive buffer on pc when
+// pc is a socket that has one (in-process fabrics have none). A refusal
+// leaves the kernel's default in place.
+func GrowReadBuffer(pc net.PacketConn) {
+	if rb, ok := pc.(interface{ SetReadBuffer(int) error }); ok {
+		//ldp:nolint errcheck — a refusal leaves the default buffer, which is all the caller could do about it
+		_ = rb.SetReadBuffer(readBuffer)
+	}
+}
+
 // NewUDPBatch wraps pc for batched I/O, detecting whether the platform
 // fast path applies. Batched reports which path was selected.
 func NewUDPBatch(pc net.PacketConn) *UDPBatch {

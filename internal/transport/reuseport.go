@@ -13,6 +13,8 @@ import (
 // platforms without kernel-side reuse-port steering it degrades to the
 // portable single-socket fallback (one socket, shards share it), so
 // callers size their shard set from the returned slice, never from n.
+// Each socket asks for a large receive buffer (GrowReadBuffer), so a
+// shard that loses its core for a while does not drop the backlog.
 //
 // With addr ending in ":0" the first socket picks the port and the
 // remaining sockets bind to the resolved address, so the whole group
@@ -42,6 +44,7 @@ func ListenUDPReusePort(addr string, n int) ([]net.PacketConn, netip.AddrPort, e
 		if i == 0 {
 			bound = AddrPortOf(pc.LocalAddr())
 		}
+		GrowReadBuffer(pc)
 		conns = append(conns, pc)
 	}
 	return conns, bound, nil

@@ -142,6 +142,40 @@ func BenchmarkZoneParseParallel(b *testing.B) {
 	reportRecs(b, recs)
 }
 
+// flatZoneText is a zone of n owners with one A record each under one
+// origin: the shape of a large flat host zone, where ingest cost is all
+// per owner.
+func flatZoneText(n int) []byte {
+	var b bytes.Buffer
+	b.WriteString("$ORIGIN flat.test.\n" +
+		"@\t3600\tIN\tSOA\tns.flat.test. h.flat.test. 1 7200 3600 1209600 300\n" +
+		"@\t3600\tIN\tNS\tns.flat.test.\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "h%d.flat.test.\t300\tIN\tA\t10.%d.%d.%d\n", i, i>>16&255, i>>8&255, i&255)
+	}
+	return b.Bytes()
+}
+
+// BenchmarkZoneParseFlat loads 300 000 one-record owners through the
+// ParseParallel path ldp-server uses.
+func BenchmarkZoneParseFlat(b *testing.B) {
+	data := flatZoneText(300000)
+	recs := 300000 + 2
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z, err := parseParallel(data, "", runtime.GOMAXPROCS(0), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if z.RecordCount() != recs {
+			b.Fatalf("zone has %d records, want %d", z.RecordCount(), recs)
+		}
+	}
+	reportRecs(b, recs)
+}
+
 func BenchmarkQueryPositive(b *testing.B) {
 	z := buildBigZone(b, 10000)
 	b.ReportAllocs()

@@ -102,10 +102,8 @@ func (z *Zone) findCut(qname dnsmsg.Name) (dnsmsg.Name, bool) {
 	var cut dnsmsg.Name
 	found := false
 	for n := qname; n != z.Origin; n = n.Parent() {
-		if node := z.nodes[n]; node != nil {
-			if _, hasNS := node.sets[dnsmsg.TypeNS]; hasNS {
-				cut, found = n, true
-			}
+		if node := z.nodes[n]; node != nil && node.set(dnsmsg.TypeNS) != nil {
+			cut, found = n, true
 		}
 		if n.IsRoot() {
 			break
@@ -119,33 +117,29 @@ func (z *Zone) findCut(qname dnsmsg.Name) (dnsmsg.Name, bool) {
 func (z *Zone) referral(a *Answer, cut dnsmsg.Name, do bool) {
 	a.Result = ResultReferral
 	a.Rcode = dnsmsg.RcodeSuccess
-	nsSet, _ := z.Lookup(cut, dnsmsg.TypeNS)
+	n := z.nodes[cut]
+	nsSet := n.set(dnsmsg.TypeNS)
 	a.Authority = nsSet.AppendRRs(a.Authority)
 	if do {
-		if ds, ok := z.Lookup(cut, dnsmsg.TypeDS); ok {
-			a.Authority = ds.AppendRRs(a.Authority)
-			if sig, ok := z.Sigs(cut, dnsmsg.TypeDS); ok {
-				a.Authority = sig.AppendRRs(a.Authority)
-			}
-		} else if nsec, ok := z.Lookup(cut, dnsmsg.TypeNSEC); ok {
+		var ok bool
+		if a.Authority, ok = n.appendSet(a.Authority, dnsmsg.TypeDS, true); !ok {
 			// Unsigned delegation in a signed zone: prove DS absence.
-			a.Authority = nsec.AppendRRs(a.Authority)
-			if sig, ok := z.Sigs(cut, dnsmsg.TypeNSEC); ok {
-				a.Authority = sig.AppendRRs(a.Authority)
-			}
+			a.Authority, _ = n.appendSet(a.Authority, dnsmsg.TypeNSEC, true)
 		}
 	}
+	a.Additional = z.appendGlue(a.Additional, nsSet)
+}
+
+// appendGlue appends the in-zone addresses of nsSet's nameservers.
+func (z *Zone) appendGlue(dst []dnsmsg.RR, nsSet *RRSet) []dnsmsg.RR {
 	for _, d := range nsSet.Data {
-		ns, ok := d.(dnsmsg.NS)
-		if !ok {
-			continue
-		}
-		for _, t := range glueTypes {
-			if glue, ok := z.Lookup(ns.Host, t); ok {
-				a.Additional = glue.AppendRRs(a.Additional)
+		if ns, ok := d.(dnsmsg.NS); ok {
+			for _, t := range glueTypes {
+				dst, _ = z.nodes[ns.Host].appendSet(dst, t, false)
 			}
 		}
 	}
+	return dst
 }
 
 // answerAt resolves qname at owner (differing from qname only while
@@ -163,13 +157,8 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 	}
 
 	// CNAME takes over unless the query asks for CNAME (or ANY).
-	if cname, ok := n.sets[dnsmsg.TypeCNAME]; ok && qtype != dnsmsg.TypeCNAME && qtype != dnsmsg.TypeANY {
-		a.Answer = cname.AppendRRs(a.Answer)
-		if do {
-			if sig, ok := z.Sigs(owner, dnsmsg.TypeCNAME); ok {
-				a.Answer = sig.AppendRRs(a.Answer)
-			}
-		}
+	if cname := n.set(dnsmsg.TypeCNAME); cname != nil && qtype != dnsmsg.TypeCNAME && qtype != dnsmsg.TypeANY {
+		a.Answer, _ = n.appendSet(a.Answer, dnsmsg.TypeCNAME, do)
 		a.Result = ResultAnswer
 		a.Rcode = dnsmsg.RcodeSuccess
 		target := cname.Data[0].(dnsmsg.CNAME).Target
@@ -189,13 +178,9 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 	}
 
 	if qtype == dnsmsg.TypeANY {
+		// Sets are in ascending type order, so ANY answers are too.
 		for _, s := range n.sets {
-			a.Answer = s.AppendRRs(a.Answer)
-			if do {
-				if sig, ok := z.Sigs(owner, s.Type); ok {
-					a.Answer = sig.AppendRRs(a.Answer)
-				}
-			}
+			a.Answer, _ = n.appendSet(a.Answer, s.Type, do)
 		}
 		if len(a.Answer) > 0 {
 			a.Result = ResultAnswer
@@ -206,41 +191,20 @@ func (z *Zone) answerAt(a *Answer, qname, owner dnsmsg.Name, qtype dnsmsg.Type, 
 		return
 	}
 
-	if s, ok := n.sets[qtype]; ok {
+	start := len(a.Answer)
+	if ans, ok := n.appendSet(a.Answer, qtype, do); ok {
+		a.Answer = ans
 		if owner != qname {
 			// Wildcard synthesis: rewrite the owner to the query name.
-			for _, rr := range s.RRs() {
-				rr.Name = qname
-				a.Answer = append(a.Answer, rr)
-			}
-		} else {
-			a.Answer = s.AppendRRs(a.Answer)
-		}
-		if do {
-			if sig, ok := z.Sigs(owner, qtype); ok {
-				if owner != qname {
-					for _, rr := range sig.RRs() {
-						rr.Name = qname
-						a.Answer = append(a.Answer, rr)
-					}
-				} else {
-					a.Answer = sig.AppendRRs(a.Answer)
-				}
+			for i := start; i < len(ans); i++ {
+				ans[i].Name = qname
 			}
 		}
 		a.Result = ResultAnswer
 		a.Rcode = dnsmsg.RcodeSuccess
 		// NS answers at the apex bring their address glue along.
 		if qtype == dnsmsg.TypeNS {
-			for _, d := range s.Data {
-				if ns, ok := d.(dnsmsg.NS); ok {
-					for _, t := range glueTypes {
-						if glue, ok := z.Lookup(ns.Host, t); ok {
-							a.Additional = glue.AppendRRs(a.Additional)
-						}
-					}
-				}
-			}
+			a.Additional = z.appendGlue(a.Additional, n.set(qtype))
 		}
 		return
 	}
@@ -268,12 +232,7 @@ func (z *Zone) tryWildcard(a *Answer, qname dnsmsg.Name, qtype dnsmsg.Type, do b
 		z.answerAt(a, qname, wild, qtype, do, depth)
 		if do && a.Result == ResultAnswer {
 			// A wildcard answer also proves no closer match exists.
-			if nsec, ok := z.Lookup(enc, dnsmsg.TypeNSEC); ok {
-				a.Authority = nsec.AppendRRs(a.Authority)
-				if sig, ok := z.Sigs(enc, dnsmsg.TypeNSEC); ok {
-					a.Authority = sig.AppendRRs(a.Authority)
-				}
-			}
+			a.Authority, _ = z.nodes[enc].appendSet(a.Authority, dnsmsg.TypeNSEC, true)
 		}
 		return
 	}
@@ -296,24 +255,10 @@ func (z *Zone) nxdomain(a *Answer, encloser dnsmsg.Name, do bool) {
 		// Simplified denial: the closest encloser's NSEC stands in for the
 		// full RFC 4035 pair; response sizing (what the experiments
 		// measure) is preserved.
-		if nsec, ok := z.Lookup(encloser, dnsmsg.TypeNSEC); ok {
-			a.Authority = nsec.AppendRRs(a.Authority)
-			if sig, ok := z.Sigs(encloser, dnsmsg.TypeNSEC); ok {
-				a.Authority = sig.AppendRRs(a.Authority)
-			}
-		}
+		a.Authority, _ = z.nodes[encloser].appendSet(a.Authority, dnsmsg.TypeNSEC, true)
 	}
 }
 
 func (z *Zone) negativeSOA(a *Answer, do bool) {
-	soa := z.SOA()
-	if soa == nil {
-		return
-	}
-	a.Authority = soa.AppendRRs(a.Authority)
-	if do {
-		if sig, ok := z.Sigs(z.Origin, dnsmsg.TypeSOA); ok {
-			a.Authority = sig.AppendRRs(a.Authority)
-		}
-	}
+	a.Authority, _ = z.nodes[z.Origin].appendSet(a.Authority, dnsmsg.TypeSOA, do)
 }

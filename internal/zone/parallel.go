@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ldplayer/internal/dnsmsg"
 )
@@ -25,6 +26,7 @@ import (
 type chunk struct {
 	off, end int // byte range in data
 	line     int // line number of the first line in the chunk (1-based)
+	recs     int // records the prescan counted in the chunk, a capacity hint
 
 	origin  dnsmsg.Name
 	defTTL  uint32
@@ -84,37 +86,39 @@ func parseParallel(data []byte, origin dnsmsg.Name, workers, chunkTarget int) (*
 		return buildZone(NewStreamParserBytes(data, origin))
 	}
 
+	// Workers claim chunks in input order and close each one's done
+	// channel; the merge consumes them in the same order, so it runs
+	// while later chunks are still being parsed.
 	results := make([]chunkResult, len(chunks))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	n := workers
-	if n > len(chunks) {
-		n = len(chunks)
+	done := make([]chan struct{}, len(chunks))
+	recs := 0
+	for i, c := range chunks {
+		done[i] = make(chan struct{})
+		recs += c.recs
 	}
-	for w := 0; w < n; w++ {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer next.Store(int64(len(chunks))) // an early error return leaves the rest unclaimed
+	for range min(workers, len(chunks)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sp := &StreamParser{}
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(chunks) {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
 				results[i] = parseChunk(sp, data, chunks[i])
+				close(done[i])
 			}
 		}()
 	}
-	wg.Wait()
 
 	// Deterministic in-order merge: chunk k's records (and error)
 	// strictly before chunk k+1's, which reproduces sequential order.
 	var z *Zone
-	for _, res := range results {
+	for i := range results {
+		<-done[i]
+		res := results[i]
+		results[i].recs = nil // merged records are the zone's; let the rest go
 		for _, rl := range res.recs {
 			if z == nil {
 				// The first record anchors the zone exactly where the
@@ -122,6 +126,7 @@ func parseParallel(data []byte, origin dnsmsg.Name, workers, chunkTarget int) (*
 				// by the first record or $ORIGIN directive. A chunk
 				// that parsed a record always has it set.
 				z = New(res.zoneOrg)
+				z.nodes = make(map[dnsmsg.Name]*node, recs) // an owner per record at most: no rehashing
 			}
 			if err := z.Add(rl.rr); err != nil {
 				return nil, fmt.Errorf("zone parse line %d: %w", rl.line, err)
@@ -162,7 +167,7 @@ func parseChunk(sp *StreamParser, data []byte, c chunk) chunkResult {
 			sp.lastOwner = append(sp.lastOwner[:0], owner...)
 		}
 	}
-	var res chunkResult
+	res := chunkResult{recs: make([]recLine, 0, c.recs)}
 	var rec Rec
 	for {
 		err := sp.Next(&rec)
@@ -247,6 +252,7 @@ func prescan(data []byte, origin dnsmsg.Name, chunkTarget int) ([]chunk, prescan
 		case prescanBadDirective:
 			pos = len(data)
 		case prescanData:
+			chunks[len(chunks)-1].recs++
 			if rec.arg0 >= 0 {
 				st.ownerOff, st.ownerLen = rec.arg0, rec.arg1-rec.arg0
 				st.ownerOrigin = st.origin

@@ -53,10 +53,10 @@ type Rec struct {
 
 	// rdata fields; which ones are meaningful depends on Type.
 	addr         netip.Addr // A, AAAA
-	name1, name2 []byte    // NS/CNAME/PTR target, MX host, SRV target, SOA mname/rname, RRSIG signer, NSEC next
-	u32s         [5]uint32 // SOA serial..minimum; RRSIG origTTL/expiration/inception
-	u16s         [3]uint16 // MX pref; SRV prio/weight/port; DS keytag; DNSKEY flags; RRSIG keytag
-	u8s          [2]uint8  // DS alg/digesttype; DNSKEY proto/alg; RRSIG alg/labels
+	name1, name2 []byte     // NS/CNAME/PTR target, MX host, SRV target, SOA mname/rname, RRSIG signer, NSEC next
+	u32s         [5]uint32  // SOA serial..minimum; RRSIG origTTL/expiration/inception
+	u16s         [3]uint16  // MX pref; SRV prio/weight/port; DS keytag; DNSKEY flags; RRSIG keytag
+	u8s          [2]uint8   // DS alg/digesttype; DNSKEY proto/alg; RRSIG alg/labels
 	cov          dnsmsg.Type
 	blob         []byte        // DS digest, DNSKEY key, RRSIG signature, Raw data
 	strs         [][]byte      // TXT strings

@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ldplayer/internal/dnsmsg"
 )
@@ -118,7 +120,8 @@ func typeFromTok(b []byte, quoted bool) (dnsmsg.Type, bool) {
 }
 
 // scanPrefixedUint16 replicates fmt.Sscanf(s, prefix+"%d", &uint16):
-// the exact prefix, then a maximal run of at least one decimal digit
+// the exact prefix, any white space (a token can hold \r, \v, \f and
+// Unicode spaces), then a maximal run of at least one decimal digit
 // whose value fits uint16; trailing garbage is tolerated ("TYPE5x"
 // scans as 5), signs are not.
 func scanPrefixedUint16(b []byte, prefix string) (uint16, bool) {
@@ -126,6 +129,13 @@ func scanPrefixedUint16(b []byte, prefix string) (uint16, bool) {
 		return 0, false
 	}
 	b = b[len(prefix):]
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		if !unicode.IsSpace(r) {
+			break
+		}
+		b = b[size:]
+	}
 	i := 0
 	v := uint64(0)
 	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
@@ -416,7 +426,11 @@ func (sp *StreamParser) decodeRData(rec *Rec, typ dnsmsg.Type, f []tokRef) error
 		}
 		rec.strs = rec.strs[:0]
 		for _, t := range f {
-			rec.strs = append(rec.strs, sp.tokBytes(t))
+			b := sp.tokBytes(t)
+			if !t.quoted && len(b) > 0 && b[0] == 0 {
+				b = b[1:] // the reference takes a bare leading NUL for its quote marker
+			}
+			rec.strs = append(rec.strs, b)
 		}
 	case dnsmsg.TypeSOA:
 		if err := need(7); err != nil {

@@ -380,7 +380,8 @@ func TestScalarParserEquivalence(t *testing.T) {
 		for _, prefix := range []string{"TYPE", "CLASS"} {
 			corpus := []string{prefix, prefix + "1", prefix + "65535", prefix + "65536", prefix + "131071",
 				prefix + "131072", prefix + "5x", prefix + "+5", prefix + "-5", prefix + "007",
-				strings.ToLower(prefix) + "1", "X" + prefix + "1"}
+				strings.ToLower(prefix) + "1", "X" + prefix + "1", prefix + "\r0", prefix + "\v\f7",
+				prefix + "\u00a0\u30007", prefix + "\r", prefix + "\xff7", prefix + "\r\r\n"}
 			for i := 0; i < 3000; i++ {
 				corpus = append(corpus, prefix+randTok(8))
 			}

@@ -10,7 +10,9 @@
 package zone
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ldplayer/internal/dnsmsg"
@@ -40,10 +42,73 @@ func (s *RRSet) AppendRRs(dst []dnsmsg.RR) []dnsmsg.RR {
 	return dst
 }
 
-// node holds all rrsets at one owner name plus the RRSIGs covering them.
+// node holds all rrsets at one owner name plus the RRSIGs covering them,
+// in short type-ordered slices (sigs by covered type) scanned linearly:
+// as fast as a map for a handful of sets, and far cheaper to build. The
+// first set, its first record and its slot live in the node, so an
+// owner with one record is one allocation.
 type node struct {
-	sets map[dnsmsg.Type]*RRSet
-	sigs map[dnsmsg.Type]*RRSet // TypeCovered -> RRSIG rrset
+	sets []*RRSet
+	sigs []*RRSet
+
+	first     RRSet
+	firstData [1]dnsmsg.RData
+	firstSlot [1]*RRSet
+}
+
+func (n *node) set(t dnsmsg.Type) *RRSet { _, s := search(n.sets, t, false); return s }
+func (n *node) sig(t dnsmsg.Type) *RRSet { _, s := search(n.sigs, t, true); return s }
+
+// search finds the set with key in a type-ordered list (ordered by
+// covered type when sigs): its index, or nil and the index it belongs at.
+func search(list []*RRSet, key dnsmsg.Type, sigs bool) (int, *RRSet) {
+	for i, s := range list {
+		t := s.Type
+		if sigs {
+			t = s.Data[0].(dnsmsg.RRSIG).TypeCovered // Add files only RRSIGs here
+		}
+		if t == key {
+			return i, s
+		}
+		if t > key {
+			return i, nil
+		}
+	}
+	return len(list), nil
+}
+
+// appendSet appends n's rrset of type t, and when do the RRSIGs covering
+// it, to dst; ok is false when n (which may be nil) has no such set.
+func (n *node) appendSet(dst []dnsmsg.RR, t dnsmsg.Type, do bool) (out []dnsmsg.RR, ok bool) {
+	if n == nil {
+		return dst, false
+	}
+	s := n.set(t)
+	if s == nil {
+		return dst, false
+	}
+	dst = s.AppendRRs(dst)
+	if do {
+		if sig := n.sig(t); sig != nil {
+			dst = sig.AppendRRs(dst)
+		}
+	}
+	return dst, true
+}
+
+// newSet inserts an empty set like rr at index i of *list (n.sets or
+// n.sigs); the owner's first set is the one stored in the node.
+func (n *node) newSet(list *[]*RRSet, i int, rr dnsmsg.RR) *RRSet {
+	var s *RRSet
+	if len(n.sets)+len(n.sigs) == 0 {
+		n.first = RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL, Data: n.firstData[:0]}
+		s = &n.first
+		*list = n.firstSlot[:0]
+	} else {
+		s = &RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL}
+	}
+	*list = slices.Insert(*list, i, s)
+	return s
 }
 
 // Zone is one zone of authority rooted at Origin.
@@ -51,8 +116,10 @@ type Zone struct {
 	Origin dnsmsg.Name
 	Class  dnsmsg.Class
 
-	nodes map[dnsmsg.Name]*node
-	ents  map[dnsmsg.Name]int // empty non-terminals: reference counts
+	nodes   map[dnsmsg.Name]*node
+	ents    map[dnsmsg.Name]int // empty non-terminals: reference counts
+	records int                 // records Add accepted, RRSIGs included
+	packed  [2][]byte           // the two rdata Add's duplicate check compares
 }
 
 // New creates an empty IN-class zone rooted at origin.
@@ -73,51 +140,47 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 	}
 	n := z.nodes[rr.Name]
 	if n == nil {
-		n = &node{sets: make(map[dnsmsg.Type]*RRSet)}
+		n = &node{}
 		z.nodes[rr.Name] = n
 		// Register empty non-terminals on the path from origin to owner.
 		for p := rr.Name.Parent(); p != z.Origin && p.IsSubdomainOf(z.Origin); p = p.Parent() {
 			z.ents[p]++
 		}
 	}
+	list, key, sigs := &n.sets, rr.Type, false
 	if rr.Type == dnsmsg.TypeRRSIG {
 		sig, ok := rr.Data.(dnsmsg.RRSIG)
 		if !ok {
 			return fmt.Errorf("zone %s: RRSIG with wrong rdata at %s", z.Origin, rr.Name)
 		}
-		if n.sigs == nil {
-			n.sigs = make(map[dnsmsg.Type]*RRSet)
-		}
-		set := n.sigs[sig.TypeCovered]
-		if set == nil {
-			set = &RRSet{Name: rr.Name, Type: dnsmsg.TypeRRSIG, Class: rr.Class, TTL: rr.TTL}
-			n.sigs[sig.TypeCovered] = set
-		}
-		set.Data = append(set.Data, rr.Data)
+		list, key, sigs = &n.sigs, sig.TypeCovered, true
+	}
+	i, set := search(*list, key, sigs)
+	if set == nil {
+		set = n.newSet(list, i, rr)
+	} else if !sigs && z.holds(set, rr.Data) {
+		// Duplicate suppression keeps zone construction from traces
+		// idempotent; RRSIGs are kept as given.
 		return nil
 	}
-	set := n.sets[rr.Type]
-	if set == nil {
-		set = &RRSet{Name: rr.Name, Type: rr.Type, Class: rr.Class, TTL: rr.TTL}
-		n.sets[rr.Type] = set
-	}
-	// Duplicate suppression keeps zone construction from traces idempotent.
-	for _, d := range set.Data {
-		if dataEqual(d, rr.Data) {
-			return nil
-		}
-	}
 	set.Data = append(set.Data, rr.Data)
+	z.records++
 	return nil
 }
 
-func dataEqual(a, b dnsmsg.RData) bool {
-	ab, errA := dnsmsg.AppendRData(nil, a)
-	bb, errB := dnsmsg.AppendRData(nil, b)
-	if errA != nil || errB != nil {
+// holds reports whether set has a record whose rdata packs to the same
+// bytes as d. Both sides pack into z's reused buffers.
+func (z *Zone) holds(set *RRSet, d dnsmsg.RData) bool {
+	var err error
+	if z.packed[0], err = dnsmsg.AppendRData(z.packed[0][:0], d); err != nil {
 		return false
 	}
-	return string(ab) == string(bb)
+	for _, e := range set.Data {
+		if z.packed[1], err = dnsmsg.AppendRData(z.packed[1][:0], e); err == nil && bytes.Equal(z.packed[0], z.packed[1]) {
+			return true
+		}
+	}
+	return false
 }
 
 // AddRRSet inserts every record of a set.
@@ -132,22 +195,20 @@ func (z *Zone) AddRRSet(s *RRSet) error {
 
 // Lookup returns the rrset for (name, type) if it exists verbatim.
 func (z *Zone) Lookup(name dnsmsg.Name, t dnsmsg.Type) (*RRSet, bool) {
-	n := z.nodes[name]
-	if n == nil {
-		return nil, false
+	if n := z.nodes[name]; n != nil {
+		s := n.set(t)
+		return s, s != nil
 	}
-	s, ok := n.sets[t]
-	return s, ok
+	return nil, false
 }
 
 // Sigs returns the RRSIG set covering (name, coveredType), if present.
 func (z *Zone) Sigs(name dnsmsg.Name, covered dnsmsg.Type) (*RRSet, bool) {
-	n := z.nodes[name]
-	if n == nil || n.sigs == nil {
-		return nil, false
+	if n := z.nodes[name]; n != nil {
+		s := n.sig(covered)
+		return s, s != nil
 	}
-	s, ok := n.sigs[covered]
-	return s, ok
+	return nil, false
 }
 
 // SOA returns the zone's SOA rrset, or nil when the zone is not complete.
@@ -166,59 +227,34 @@ func (z *Zone) Names() []dnsmsg.Name {
 	return out
 }
 
-// Sets returns all rrsets at a name (not RRSIGs), nil if the name has none.
+// Sets returns all rrsets at a name (not RRSIGs) in ascending type
+// order, nil if the name has none.
 func (z *Zone) Sets(name dnsmsg.Name) []*RRSet {
 	n := z.nodes[name]
 	if n == nil {
 		return nil
 	}
-	out := make([]*RRSet, 0, len(n.sets))
-	for _, s := range n.sets {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
-	return out
+	return append(make([]*RRSet, 0, len(n.sets)), n.sets...)
 }
 
 // AllRRs returns every record in the zone (including RRSIGs), owners in
 // canonical order, for serialization and zone transfer.
 func (z *Zone) AllRRs() []dnsmsg.RR {
-	var out []dnsmsg.RR
+	out := make([]dnsmsg.RR, 0, z.records)
 	for _, name := range z.Names() {
 		n := z.nodes[name]
-		types := make([]dnsmsg.Type, 0, len(n.sets))
-		for t := range n.sets {
-			types = append(types, t)
+		for _, s := range n.sets {
+			out = s.AppendRRs(out)
 		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			out = append(out, n.sets[t].RRs()...)
-		}
-		covered := make([]dnsmsg.Type, 0, len(n.sigs))
-		for t := range n.sigs {
-			covered = append(covered, t)
-		}
-		sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
-		for _, t := range covered {
-			out = append(out, n.sigs[t].RRs()...)
+		for _, s := range n.sigs {
+			out = s.AppendRRs(out)
 		}
 	}
 	return out
 }
 
 // RecordCount counts all records including RRSIGs.
-func (z *Zone) RecordCount() int {
-	total := 0
-	for _, n := range z.nodes {
-		for _, s := range n.sets {
-			total += len(s.Data)
-		}
-		for _, s := range n.sigs {
-			total += len(s.Data)
-		}
-	}
-	return total
-}
+func (z *Zone) RecordCount() int { return z.records }
 
 // Cuts returns the delegation points (names below the apex owning NS
 // rrsets) in canonical order. The zone constructor uses these to split
@@ -226,10 +262,7 @@ func (z *Zone) RecordCount() int {
 func (z *Zone) Cuts() []dnsmsg.Name {
 	var out []dnsmsg.Name
 	for name, n := range z.nodes {
-		if name == z.Origin {
-			continue
-		}
-		if _, ok := n.sets[dnsmsg.TypeNS]; ok {
+		if name != z.Origin && n.set(dnsmsg.TypeNS) != nil {
 			out = append(out, name)
 		}
 	}
@@ -248,10 +281,9 @@ func (z *Zone) Validate() error {
 		return fmt.Errorf("zone %s: missing NS at apex", z.Origin)
 	}
 	for name, n := range z.nodes {
-		if _, hasCNAME := n.sets[dnsmsg.TypeCNAME]; hasCNAME && len(n.sets) > 1 {
+		if cname := n.set(dnsmsg.TypeCNAME); cname != nil && len(n.sets) > 1 {
 			return fmt.Errorf("zone %s: CNAME and other data at %s", z.Origin, name)
-		}
-		if s, ok := n.sets[dnsmsg.TypeCNAME]; ok && len(s.Data) > 1 {
+		} else if cname != nil && len(cname.Data) > 1 {
 			return fmt.Errorf("zone %s: multiple CNAMEs at %s", z.Origin, name)
 		}
 	}

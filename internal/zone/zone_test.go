@@ -2,6 +2,7 @@ package zone
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -377,3 +378,135 @@ func TestDSAtCutAnsweredByParent(t *testing.T) {
 }
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
+
+// mixedOwnerZone has one owner whose sets (and their RRSIGs) are added
+// in descending type order, so any ordering the answer shows comes
+// from the zone, not from insertion.
+func mixedOwnerZone(t *testing.T) *Zone {
+	t.Helper()
+	z := mustZone(t)
+	owner := dnsmsg.Name("mixed.example.com.")
+	add := func(typ dnsmsg.Type, d dnsmsg.RData) {
+		t.Helper()
+		if err := z.Add(dnsmsg.RR{Name: owner, Type: typ, Class: dnsmsg.ClassINET, TTL: 300, Data: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sig := func(covered dnsmsg.Type) dnsmsg.RRSIG {
+		return dnsmsg.RRSIG{TypeCovered: covered, Algorithm: 8, Labels: 3, OrigTTL: 300,
+			SignerName: "example.com.", Signature: []byte{byte(covered)}}
+	}
+	add(dnsmsg.TypeSRV, dnsmsg.SRV{Priority: 1, Weight: 1, Port: 53, Target: "www.example.com."})
+	add(dnsmsg.TypeRRSIG, sig(dnsmsg.TypeSRV))
+	add(dnsmsg.TypeAAAA, dnsmsg.AAAA{Addr: netip.MustParseAddr("2001:db8::1")})
+	add(dnsmsg.TypeTXT, dnsmsg.TXT{Strings: []string{"x"}})
+	add(dnsmsg.TypeRRSIG, sig(dnsmsg.TypeTXT))
+	add(dnsmsg.TypeMX, dnsmsg.MX{Preference: 5, Host: "mx1.example.com."})
+	add(dnsmsg.TypeA, dnsmsg.A{Addr: netip.MustParseAddr("192.0.2.7")})
+	add(dnsmsg.TypeRRSIG, sig(dnsmsg.TypeA))
+	return z
+}
+
+func TestQueryANYTypeOrder(t *testing.T) {
+	z := mixedOwnerZone(t)
+	want := map[bool][]dnsmsg.Type{
+		false: {dnsmsg.TypeA, dnsmsg.TypeMX, dnsmsg.TypeTXT, dnsmsg.TypeAAAA, dnsmsg.TypeSRV},
+		true: {dnsmsg.TypeA, dnsmsg.TypeRRSIG, dnsmsg.TypeMX, dnsmsg.TypeTXT, dnsmsg.TypeRRSIG,
+			dnsmsg.TypeAAAA, dnsmsg.TypeSRV, dnsmsg.TypeRRSIG},
+	}
+	for _, do := range []bool{false, true} {
+		first := z.Query("mixed.example.com.", dnsmsg.TypeANY, do)
+		var got []dnsmsg.Type
+		for _, rr := range first.Answer {
+			got = append(got, rr.Type)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want[do]) {
+			t.Fatalf("do=%v: ANY answer types %v, want %v", do, got, want[do])
+		}
+		for i := 0; i < 100; i++ {
+			a := z.Query("mixed.example.com.", dnsmsg.TypeANY, do)
+			if fmt.Sprint(a.Answer) != fmt.Sprint(first.Answer) {
+				t.Fatalf("do=%v call %d: ANY answer %v, first was %v", do, i, a.Answer, first.Answer)
+			}
+		}
+	}
+}
+
+// TestLookupSetSeesLaterAdd: the *RRSet Lookup returns is the zone's
+// own set, so it stays valid, and shows later Adds, while the owner's
+// set list grows around it and the set outgrows its first record.
+func TestLookupSetSeesLaterAdd(t *testing.T) {
+	z := New("example.com.")
+	owner := dnsmsg.Name("h.example.com.")
+	add := func(typ dnsmsg.Type, d dnsmsg.RData) {
+		t.Helper()
+		if err := z.Add(dnsmsg.RR{Name: owner, Type: typ, Class: dnsmsg.ClassINET, TTL: 60, Data: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(dnsmsg.TypeMX, dnsmsg.MX{Preference: 1, Host: "a.example.com."})
+	mx, ok := z.Lookup(owner, dnsmsg.TypeMX)
+	if !ok || len(mx.Data) != 1 {
+		t.Fatalf("Lookup MX = %v, %v", mx, ok)
+	}
+	add(dnsmsg.TypeA, dnsmsg.A{Addr: netip.MustParseAddr("192.0.2.1")})
+	a, _ := z.Lookup(owner, dnsmsg.TypeA)
+	add(dnsmsg.TypeTXT, dnsmsg.TXT{Strings: []string{"t"}})
+	for i := 2; i <= 4; i++ {
+		add(dnsmsg.TypeMX, dnsmsg.MX{Preference: uint16(i), Host: "a.example.com."})
+		add(dnsmsg.TypeA, dnsmsg.A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})})
+	}
+	if len(mx.Data) != 4 || len(a.Data) != 4 {
+		t.Fatalf("held sets have %d MX and %d A records, want 4 each", len(mx.Data), len(a.Data))
+	}
+	if again, _ := z.Lookup(owner, dnsmsg.TypeMX); again != mx {
+		t.Fatal("Lookup returned a different MX set after Adds")
+	}
+	if again, _ := z.Lookup(owner, dnsmsg.TypeA); again != a {
+		t.Fatal("Lookup returned a different A set after Adds")
+	}
+	if got := z.Sets(owner); len(got) != 3 || got[0] != a || got[1] != mx {
+		t.Fatalf("Sets = %v, want A, MX, TXT", got)
+	}
+}
+
+// TestRecordCountCountsAccepted: RecordCount is what Add kept —
+// duplicates are dropped, RRSIGs count — and agrees with AllRRs.
+func TestRecordCountCountsAccepted(t *testing.T) {
+	z := mixedOwnerZone(t)
+	before := z.RecordCount()
+	dup := dnsmsg.RR{Name: "www.example.com.", Type: dnsmsg.TypeA, Class: dnsmsg.ClassINET, TTL: 300,
+		Data: dnsmsg.A{Addr: netip.MustParseAddr("192.0.2.80")}}
+	if err := z.Add(dup); err != nil {
+		t.Fatal(err)
+	}
+	if z.RecordCount() != before {
+		t.Fatalf("duplicate changed RecordCount %d -> %d", before, z.RecordCount())
+	}
+	if got := len(z.AllRRs()); got != z.RecordCount() {
+		t.Fatalf("RecordCount %d, AllRRs has %d", z.RecordCount(), got)
+	}
+}
+
+// TestAddOneRecordOwnerAllocs pins the node layout: a new owner with
+// one record costs one allocation once the owner index has room.
+func TestAddOneRecordOwnerAllocs(t *testing.T) {
+	const n = 1000
+	z := New("example.com.")
+	z.nodes = make(map[dnsmsg.Name]*node, 2*n)
+	rrs := make([]dnsmsg.RR, n)
+	for i := range rrs {
+		rrs[i] = dnsmsg.RR{Name: dnsmsg.Name(fmt.Sprintf("h%d.example.com.", i)), Type: dnsmsg.TypeA,
+			Class: dnsmsg.ClassINET, TTL: 60, Data: dnsmsg.A{Addr: netip.MustParseAddr("192.0.2.1")}}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if err := z.Add(rrs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 1 {
+		t.Fatalf("Add of a one-record owner: %.2f allocs, want 1", allocs)
+	}
+}
