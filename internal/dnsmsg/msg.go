@@ -126,6 +126,36 @@ func (m *Msg) EDNS() (udpSize uint16, do bool, present bool) {
 	return 0, false, false
 }
 
+// ResponseLimit is the byte limit a response must fit in, given the
+// transport's cap maxSize (0 or less for stream transports: no limit)
+// and the query's EDNS: the advertised UDP size floored at MaxUDPSize
+// when the query carried an OPT record, maxSize when it did not.
+func ResponseLimit(maxSize int, udpSize uint16, hasEDNS bool) int {
+	if maxSize <= 0 {
+		return 0
+	}
+	if hasEDNS {
+		return max(int(udpSize), MaxUDPSize)
+	}
+	return maxSize
+}
+
+// Truncate turns m into the reply that sends a client to TCP: TC set,
+// answer and authority sections empty, and only the OPT record kept in
+// the additional section, which is filtered in place.
+func (m *Msg) Truncate() {
+	m.Truncated = true
+	m.Answer = nil
+	m.Authority = nil
+	kept := m.Additional[:0]
+	for _, rr := range m.Additional {
+		if rr.Type == TypeOPT {
+			kept = append(kept, rr)
+		}
+	}
+	m.Additional = kept
+}
+
 // Pack serializes the message with name compression.
 func (m *Msg) Pack() ([]byte, error) {
 	return m.AppendPack(make([]byte, 0, 512))

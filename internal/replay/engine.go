@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,7 +40,7 @@ func (e *Engine) Run(ctx context.Context, input trace.Reader) (*Report, error) {
 // run is Run over a given data plane: reference_test.go's per-item
 // plane reports through the same code as runBatched.
 func (e *Engine) run(ctx context.Context, input trace.Reader,
-	plane func(context.Context, Config, *stats, trace.Reader) ([]queryReport, error)) (*Report, error) {
+	plane func(context.Context, Config, *stats, trace.Reader) ([]*queryReport, error)) (*Report, error) {
 	cfg := e.cfg
 
 	// Live instruments: shared by every querier, readable mid-run from
@@ -76,7 +75,6 @@ func (e *Engine) run(ctx context.Context, input trace.Reader,
 	}
 	var firstSend, lastSend time.Time
 	for _, qr := range reports {
-		rep.Results = append(rep.Results, qr.results...)
 		if !qr.firstSend.IsZero() && (firstSend.IsZero() || qr.firstSend.Before(firstSend)) {
 			firstSend = qr.firstSend
 		}
@@ -87,36 +85,42 @@ func (e *Engine) run(ctx context.Context, input trace.Reader,
 	if !firstSend.IsZero() {
 		rep.Duration = lastSend.Sub(firstSend)
 	}
-	sort.Slice(rep.Results, func(i, j int) bool {
-		return rep.Results[i].TraceOffset < rep.Results[j].TraceOffset
-	})
+	rep.Results = mergeResults(reports)
 	return rep, nil
 }
 
 // runBatched is the production data plane: the controller reads the
 // input in bulk (trace.ReadSome), accumulates per-lane batches, and the
 // tree forwards them whole.
-func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]queryReport, error) {
-	// Build the distribution tree: two-level by default; the ablation's
-	// direct mode routes the controller straight to queriers.
+func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]*queryReport, error) {
+	// Build the distribution tree and the controller's lanes (outs):
+	// two-level by default, routed at ingress for both levels with the
+	// querier lane stamped into the item (see treeRouter); the
+	// ablation's direct mode routes sources straight onto queriers.
 	var queriers []*querier
 	var dists []*distributor
+	var outs []chan *batch
+	var router *sticky
+	var tree *treeRouter
 	if cfg.DirectDistribution {
-		n := cfg.Distributors * cfg.QueriersPerDistributor
-		for i := 0; i < n; i++ {
-			queriers = append(queriers, newQuerier(cfg, st))
+		for range cfg.Distributors * cfg.QueriersPerDistributor {
+			q := newQuerier(cfg, st)
+			queriers = append(queriers, q)
+			outs = append(outs, q.in)
 		}
+		router = newSticky(len(outs))
 	} else {
-		dists = make([]*distributor, cfg.Distributors)
-		for d := range dists {
+		for range cfg.Distributors {
 			qs := make([]*querier, cfg.QueriersPerDistributor)
 			for qi := range qs {
-				q := newQuerier(cfg, st)
-				qs[qi] = q
-				queriers = append(queriers, q)
+				qs[qi] = newQuerier(cfg, st)
 			}
-			dists[d] = newDistributor(qs, cfg)
+			queriers = append(queriers, qs...)
+			d := newDistributor(qs, cfg)
+			dists = append(dists, d)
+			outs = append(outs, d.in)
 		}
+		tree = newTreeRouter(len(dists), cfg.QueriersPerDistributor)
 	}
 
 	var wg sync.WaitGroup
@@ -131,26 +135,6 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 
 	// Controller: read the first query to learn trace start, broadcast
 	// the time synchronization, then stream batches down the tree.
-	outs := make([]chan *batch, 0, len(dists)+len(queriers))
-	if cfg.DirectDistribution {
-		for _, q := range queriers {
-			outs = append(outs, q.in)
-		}
-	} else {
-		for _, d := range dists {
-			outs = append(outs, d.in)
-		}
-	}
-	// Direct mode routes sources straight onto querier lanes; the tree
-	// routes both levels at ingress and stamps the querier lane into the
-	// item (see treeRouter).
-	var router *sticky
-	var tree *treeRouter
-	if cfg.DirectDistribution {
-		router = newSticky(len(outs))
-	} else {
-		tree = newTreeRouter(len(dists), cfg.QueriersPerDistributor)
-	}
 	lb := newLaneBatcher(outs, cfg.BatchSize)
 	evs := make([]*trace.Event, cfg.BatchSize)
 	var traceStart time.Time
@@ -199,9 +183,9 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 
 	wg.Wait()
 
-	reports := make([]queryReport, 0, len(queriers))
-	for _, q := range queriers {
-		reports = append(reports, q.report())
+	reports := make([]*queryReport, len(queriers))
+	for i, q := range queriers {
+		reports[i] = &q.queryReport
 	}
 	return reports, readErr
 }

@@ -50,20 +50,19 @@ type querier struct {
 	inflight atomic.Int64
 	drainCh  chan struct{}
 
-	// results and the send-time edges are written only by this querier's
-	// goroutine (and, for RTT, by read loops into pre-reserved slots);
-	// report() runs after everything quiesces.
-	results   resultLog
-	firstSend time.Time
-	lastSend  time.Time
+	// The outcome is written only by this querier's goroutine (and, for
+	// RTT, by read loops into pre-reserved slots); the engine reads it
+	// after everything quiesces.
+	queryReport
 }
 
 // queryReport is the querier's per-instance outcome: the fields that
 // cannot live in shared counters (per-query results, send-time edges).
+// The engine takes it by pointer: the log is merged, never copied.
 type queryReport struct {
+	results   resultLog
 	firstSend time.Time
 	lastSend  time.Time
-	results   []QueryResult
 }
 
 func newQuerier(cfg Config, st *stats) *querier {
@@ -298,8 +297,8 @@ func (q *querier) notifyDrain() {
 
 // drain waits for outstanding responses — woken by the read loops, not
 // polling — then closes the sender and the connections (failing
-// stragglers out as timeouts) and waits for their read loops so
-// report() runs against quiesced storage.
+// stragglers out as timeouts) and waits for their read loops so the
+// engine reads the outcome from quiesced storage.
 func (q *querier) drain() {
 	deadline := time.NewTimer(q.cfg.ResponseTimeout)
 	defer deadline.Stop()
@@ -319,14 +318,5 @@ wait:
 	}
 	for _, c := range q.conns {
 		c.Wait()
-	}
-}
-
-// report returns the merged outcome after run() finishes.
-func (q *querier) report() queryReport {
-	return queryReport{
-		firstSend: q.firstSend,
-		lastSend:  q.lastSend,
-		results:   q.results.snapshot(),
 	}
 }

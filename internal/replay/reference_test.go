@@ -14,7 +14,7 @@ import (
 
 // The reference data plane: the engine exactly as it was before the
 // batched rebuild — one channel operation per query, one time.NewTimer
-// per Timed wait, per-query transport.Conn sends, results appended
+// per Timed wait, per-query transport.Conn sends, results recorded
 // under a mutex, drain by 5 ms polling. It lives in a test file: no
 // binary can select it, but the speedup gate in `make bench-check`
 // measures the batched plane against it in the same run on the same
@@ -35,7 +35,7 @@ func runPlane(ctx context.Context, cfg Config, input trace.Reader, reference boo
 }
 
 // runReference mirrors runBatched over per-item channels.
-func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]queryReport, error) {
+func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]*queryReport, error) {
 	var queriers []*refQuerier
 	var dists []*refDistributor
 	if cfg.DirectDistribution {
@@ -121,9 +121,9 @@ func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader
 
 	wg.Wait()
 
-	reports := make([]queryReport, 0, len(queriers))
-	for _, q := range queriers {
-		reports = append(reports, q.report())
+	reports := make([]*queryReport, len(queriers))
+	for i, q := range queriers {
+		reports[i] = &q.queryReport
 	}
 	return reports, readErr
 }
@@ -146,7 +146,8 @@ func (d *refDistributor) run() {
 
 // refQuerier is the pre-batching querier, preserved behavior for
 // behavior: per-item channel, a fresh timer per Timed wait, results
-// appended under the mutex that every response callback also takes.
+// recorded under the mutex that every response callback also takes (in
+// the engine's result log, so the report assembly is shared).
 type refQuerier struct {
 	in  chan item
 	cfg Config
@@ -212,14 +213,15 @@ func (q *refQuerier) send(it item) {
 	idx := -1
 	if !q.cfg.DropResults {
 		q.mu.Lock()
-		q.results = append(q.results, QueryResult{
+		var slot *QueryResult
+		idx, slot = q.results.reserve()
+		*slot = QueryResult{
 			TraceOffset: it.offset,
 			SentOffset:  now.Sub(q.realStart),
 			RTT:         -1,
 			Proto:       it.ev.Proto,
 			Src:         it.ev.Src.Addr(),
-		})
-		idx = len(q.results) - 1
+		}
 		q.mu.Unlock()
 	}
 	c := q.connFor(it.ev.Src.Addr(), it.ev.Proto)
@@ -242,7 +244,7 @@ func (q *refQuerier) send(it item) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if idx >= 0 && it.ev.Proto != trace.UDP {
-		q.results[idx].FreshConn = fresh
+		q.results.at(idx).FreshConn = fresh
 	}
 	if err != nil {
 		return
@@ -285,8 +287,8 @@ func (q *refQuerier) recordResponse(resultIdx int, rtt time.Duration) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if resultIdx >= 0 && resultIdx < len(q.results) {
-		q.results[resultIdx].RTT = rtt
+	if r := q.results.at(resultIdx); r != nil {
+		r.RTT = rtt
 	}
 }
 
@@ -318,10 +320,4 @@ func (q *refQuerier) outstanding() int {
 		n += c.Pending()
 	}
 	return n
-}
-
-func (q *refQuerier) report() queryReport {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queryReport
 }

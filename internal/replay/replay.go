@@ -124,10 +124,10 @@ type QueryResult struct {
 	SentOffset time.Duration
 	// RTT is the query-to-response latency, or -1 if no response arrived.
 	RTT time.Duration
-	// Proto is the transport used.
-	Proto trace.Proto
 	// Src is the original trace source address the querier emulated.
 	Src netip.Addr
+	// Proto is the transport used (beside FreshConn: packs into 56 bytes).
+	Proto trace.Proto
 	// FreshConn marks stream queries that had to open a new connection
 	// (false = connection reuse hit).
 	FreshConn bool
@@ -135,6 +135,10 @@ type QueryResult struct {
 
 // Report summarizes one replay run.
 type Report struct {
+	// Results records the replayed queries (none with DropResults),
+	// sorted by TraceOffset. Queries with equal offsets keep their send
+	// order within a source, so each source's results read in the order
+	// it sent them.
 	Results   []QueryResult
 	Sent      uint64
 	Responses uint64

@@ -1,13 +1,16 @@
 package replay
 
-import "sync/atomic"
+import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+)
 
 // resultLog is the querier's per-query result storage, built so the
 // send path never takes a lock: the querier goroutine (single writer)
 // reserves slots, and connection read loops write each response's RTT
-// into its already-reserved slot. The old design appended to a slice
-// under a mutex, putting a lock acquisition on every send AND every
-// response; here the only shared mutation is an atomic pointer load.
+// into its already-reserved slot. The only shared mutation is an
+// atomic pointer load.
 //
 // Safety argument: slots live in fixed-size chunks that never move. The
 // chunk directory grows copy-on-write — reserve installs a new
@@ -17,7 +20,7 @@ import "sync/atomic"
 // publishes the index, which happens before the response callback).
 // Writer and reader touch disjoint fields of a slot (reserve fills the
 // descriptive fields before Send; the callback writes RTT after),
-// and snapshot runs only after Close()+Wait() quiesces every callback.
+// and mergeResults runs only after Close()+Wait() quiesces every callback.
 
 // resultChunkLen balances directory churn against slack: 1024 slots is
 // one directory append per ~64 KiB of results.
@@ -53,37 +56,56 @@ func (l *resultLog) reserve() (int, *QueryResult) {
 
 // at returns the slot for a reserved index; any goroutine may call it.
 func (l *resultLog) at(idx int) *QueryResult {
-	if idx < 0 {
-		return nil
-	}
 	dirp := l.dir.Load()
-	if dirp == nil {
+	if idx < 0 || dirp == nil || idx/resultChunkLen >= len(*dirp) {
 		return nil
 	}
-	ci := idx / resultChunkLen
-	if ci >= len(*dirp) {
-		return nil
-	}
-	return &(*dirp)[ci][idx%resultChunkLen]
+	return &(*dirp)[idx/resultChunkLen][idx%resultChunkLen]
 }
 
-// snapshot copies every reserved slot out as a flat slice. Callers must
-// have quiesced all writers first (run() returned, conns closed and
-// waited).
-func (l *resultLog) snapshot() []QueryResult {
-	if l.n == 0 {
+// mergeResults builds the report's Results from the queriers' logs in
+// one exact-size allocation, sorted by TraceOffset. A querier sends in
+// trace order, so each log is sorted and a k-way merge suffices; ties go
+// to the earlier log, then the earlier send, so a source (it rides one
+// querier) keeps its send order. Input that was not time-ordered leaves
+// a log unsorted: a stable in-place sort then keeps that property.
+// Writers must have quiesced (run() returned, conns closed and waited).
+func mergeResults(reports []*queryReport) []QueryResult {
+	var stack [16]logCursor // covers the default trees; more logs spill to the heap
+	cs, total := stack[:0], 0
+	for _, r := range reports {
+		if l := &r.results; l.n > 0 {
+			cs = append(cs, logCursor{chunks: *l.dir.Load(), n: l.n})
+			total += l.n
+		}
+	}
+	if total == 0 {
 		return nil
 	}
-	out := make([]QueryResult, 0, l.n)
-	dir := *l.dir.Load()
-	left := l.n
-	for _, c := range dir {
-		take := left
-		if take > resultChunkLen {
-			take = resultChunkLen
+	out := make([]QueryResult, total)
+	for i := range out {
+		m := 0
+		for j := 1; j < len(cs); j++ {
+			if cs[j].head().TraceOffset < cs[m].head().TraceOffset {
+				m = j
+			}
 		}
-		out = append(out, c[:take]...)
-		left -= take
+		out[i] = *cs[m].head()
+		if cs[m].i++; cs[m].i == cs[m].n {
+			cs = append(cs[:m], cs[m+1:]...) // keeps log order for ties
+		}
+	}
+	byOffset := func(a, b QueryResult) int { return cmp.Compare(a.TraceOffset, b.TraceOffset) }
+	if !slices.IsSortedFunc(out, byOffset) {
+		slices.SortStableFunc(out, byOffset)
 	}
 	return out
 }
+
+// logCursor walks one log's slots in send order.
+type logCursor struct {
+	chunks []*resultChunk
+	i, n   int
+}
+
+func (c *logCursor) head() *QueryResult { return &c.chunks[c.i/resultChunkLen][c.i%resultChunkLen] }

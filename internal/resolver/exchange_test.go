@@ -13,10 +13,9 @@ import (
 	"ldplayer/internal/zone"
 )
 
-// TestUDPExchangerLive resolves against a real server over loopback,
-// including the TC -> TCP fallback path.
-func TestUDPExchangerLive(t *testing.T) {
-	// A zone with one small and one oversized rrset.
+// bigZone is x.test. with one small A RRset (small.x.test.) and one of
+// 60 records (big.x.test.) too big for a 512-byte UDP reply.
+func bigZone() *zone.Zone {
 	z := zone.New("x.test.")
 	z.Add(dnsmsg.RR{Name: "x.test.", Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassINET, TTL: 60,
 		Data: dnsmsg.SOA{MName: "ns.x.test.", RName: "h.x.test.", Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 1}})
@@ -28,8 +27,14 @@ func TestUDPExchangerLive(t *testing.T) {
 		z.Add(dnsmsg.RR{Name: "big.x.test.", Type: dnsmsg.TypeA, Class: dnsmsg.ClassINET, TTL: 60,
 			Data: dnsmsg.A{Addr: netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})}})
 	}
+	return z
+}
+
+// TestUDPExchangerLive resolves against a real server over loopback,
+// including the TC -> TCP fallback path.
+func TestUDPExchangerLive(t *testing.T) {
 	s := server.New(server.Config{})
-	if err := s.AddZone(z); err != nil {
+	if err := s.AddZone(bigZone()); err != nil {
 		t.Fatal(err)
 	}
 	pc, ln, _, err := transport.ListenUDPTCP("127.0.0.1:0")

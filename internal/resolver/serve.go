@@ -130,13 +130,22 @@ func (f *udpFront) next() (*dnsmsg.Msg, net.Addr, error) {
 	}
 }
 
-// answer resolves req and sends the reply, packed into a borrowed buffer.
+// answer resolves req and sends the reply, packed into a borrowed
+// buffer. A reply too big for the stub — 512 bytes without EDNS, its
+// advertised size with — goes out truncated, as an authoritative
+// server's would, so the stub retries over TCP.
 func (f *udpFront) answer(req *dnsmsg.Msg, addr net.Addr) {
 	defer dnsmsg.PutMsg(req)
+	udpSize, _, hasEDNS := req.EDNS()
+	limit := dnsmsg.ResponseLimit(dnsmsg.MaxUDPSize, udpSize, hasEDNS)
 	resp := f.r.HandleStub(f.ctx, req)
 	bp := transport.GetBuf()
 	defer transport.PutBuf(bp)
 	wire, err := resp.AppendPack((*bp)[:0])
+	if err == nil && len(wire) > limit {
+		resp.Truncate()
+		wire, err = resp.AppendPack((*bp)[:0])
+	}
 	if err != nil {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/obs"
+	"ldplayer/internal/server"
 )
 
 // gatedExchange passes exchanges through to h, except that a query for
@@ -143,6 +144,64 @@ func TestServeUDPSlowWalkDoesNotBlock(t *testing.T) {
 		cancel()
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestServeUDPTruncates: the recursive front end holds UDP replies to
+// the authoritative server's limits. The 60-record answer, asked without
+// EDNS, comes back in at most 512 bytes with TC set; asked with EDNS
+// 4096 it comes back whole.
+func TestServeUDPTruncates(t *testing.T) {
+	s := server.New(server.Config{})
+	if err := s.AddZone(bigZone()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Roots: []netip.AddrPort{rootAddr}, Exchange: ExchangeFunc(
+		func(_ context.Context, srv netip.AddrPort, q *dnsmsg.Msg) (*dnsmsg.Msg, error) {
+			return s.HandleQuery(srv.Addr(), q, 0), nil
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, cancel, done := serveStubs(t, r, 0)
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, edns := range []bool{false, true} {
+		q := &dnsmsg.Msg{ID: 9, RecursionDesired: true}
+		q.SetQuestion("big.x.test.", dnsmsg.TypeA)
+		if edns {
+			q.SetEDNS(4096, false)
+		}
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64<<10)
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("edns=%v: %v", edns, err)
+		}
+		var resp dnsmsg.Msg
+		if err := resp.Unpack(buf[:n]); err != nil {
+			t.Fatalf("edns=%v: %v", edns, err)
+		}
+		if edns {
+			if resp.Truncated || len(resp.Answer) != 60 {
+				t.Errorf("EDNS 4096: %d bytes, tc=%v, %d answers; want the whole 60", n, resp.Truncated, len(resp.Answer))
+			}
+		} else if n > dnsmsg.MaxUDPSize || !resp.Truncated || len(resp.Answer) != 0 {
+			t.Errorf("no EDNS: %d bytes, tc=%v, %d answers; want <= 512 bytes, tc, none", n, resp.Truncated, len(resp.Answer))
 		}
 	}
 }

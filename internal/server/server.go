@@ -224,7 +224,7 @@ func (s *Server) handleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, o
 	if cacheable {
 		q := req.Question[0]
 		udpSize, do, hasEDNS := req.EDNS()
-		limit = effectiveLimit(maxSize, udpSize, hasEDNS)
+		limit = dnsmsg.ResponseLimit(maxSize, udpSize, hasEDNS)
 		key = ansKey{view: v, name: q.Name, qtype: q.Type, do: do, edns: hasEDNS, size: sizeClass(limit)}
 		gen = v.Zones.Generation()
 		if e, ok := cache.get(key, gen); ok {
@@ -277,16 +277,7 @@ func (s *Server) handleQueryWire(src netip.Addr, req *dnsmsg.Msg, maxSize int, o
 	if insert || needTrunc {
 		// Rebuild resp as its truncated-empty form (same mutation
 		// truncateTo applies) and pack that too.
-		resp.Truncated = true
-		resp.Answer = nil
-		resp.Authority = nil
-		kept := resp.Additional[:0]
-		for _, rr := range resp.Additional {
-			if rr.Type == dnsmsg.TypeOPT {
-				kept = append(kept, rr)
-			}
-		}
-		resp.Additional = kept
+		resp.Truncate()
 		truncWire, err = resp.PackBuffer(make([]byte, 0, 64))
 		if err != nil {
 			return nil, err
@@ -322,22 +313,6 @@ func normalizeWire(wire []byte) []byte {
 	wire[1] = 0
 	wire[2] &^= 1
 	return wire
-}
-
-// effectiveLimit is the truncation byte limit for a response: none for
-// stream transports (maxSize <= 0), the client's advertised EDNS size
-// floored at the classic 512 when present, the server cap otherwise.
-func effectiveLimit(maxSize int, udpSize uint16, hasEDNS bool) int {
-	if maxSize <= 0 {
-		return 0
-	}
-	if hasEDNS {
-		if int(udpSize) > dnsmsg.MaxUDPSize {
-			return int(udpSize)
-		}
-		return dnsmsg.MaxUDPSize
-	}
-	return maxSize
 }
 
 // sizeClass buckets an effective limit for the answer-cache key: exact
@@ -411,7 +386,7 @@ func (s *Server) answerInto(resp *dnsmsg.Msg, ans *zone.Answer, v *View, req *dn
 		ans.Additional = resp.Additional
 	}
 
-	if limit := effectiveLimit(maxSize, udpSize, hasEDNS); limit > 0 {
+	if limit := dnsmsg.ResponseLimit(maxSize, udpSize, hasEDNS); limit > 0 {
 		s.truncateTo(resp, limit, st)
 	}
 	st.responses.Add(1)
@@ -426,15 +401,6 @@ func (s *Server) truncateTo(resp *dnsmsg.Msg, limit int, st *statView) {
 	if err != nil || len(wire) <= limit {
 		return
 	}
-	resp.Truncated = true
-	resp.Answer = nil
-	resp.Authority = nil
-	var opt []dnsmsg.RR
-	for _, rr := range resp.Additional {
-		if rr.Type == dnsmsg.TypeOPT {
-			opt = append(opt, rr)
-		}
-	}
-	resp.Additional = opt
+	resp.Truncate()
 	st.truncated.Add(1)
 }

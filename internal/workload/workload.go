@@ -9,10 +9,10 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"ldplayer/internal/dnsmsg"
@@ -55,7 +55,9 @@ func Synthetic(cfg SyntheticConfig) *trace.Trace {
 	var b builder
 	for i := 0; i < n; i++ {
 		client := clientAddr(i % cfg.Clients)
-		name := dnsmsg.MustParseName(fmt.Sprintf("q%d.%s", i, cfg.Domain))
+		b.name = append(strconv.AppendInt(append(b.name[:0], 'q'), int64(i), 10), '.') // q<i>.<domain>
+		b.name = append(b.name, cfg.Domain...)
+		name := dnsmsg.MustParseName(string(b.name))
 		tr.Events = append(tr.Events, b.query(
 			cfg.Start.Add(time.Duration(i)*cfg.InterArrival),
 			netip.AddrPortFrom(client, uint16(20000+rng.Intn(30000))),
@@ -268,7 +270,7 @@ func BRootModel(cfg BRootConfig) *trace.Trace {
 				time.Duration((float64(k)+rng.Float64())/float64(n)*float64(time.Second)))
 			ci := pickClient()
 			do := rng.Float64() < cfg.DOFraction
-			name, qtype := rootQuery(rng, tlds)
+			name, qtype := b.rootQuery(rng, tlds)
 			tr.Events = append(tr.Events, b.query(at,
 				netip.AddrPortFrom(addrs[ci], ephemeralPort(rng)),
 				name, qtype, do, protos[ci]))
@@ -313,7 +315,10 @@ func RecModel(cfg RecConfig) *trace.Trace {
 			z := cfg.Zones[zipfIndex(rng, len(cfg.Zones))]
 			name = dnsmsg.MustParseName(hostNames[rng.Intn(len(hostNames))] + "." + string(z))
 		} else {
-			name = dnsmsg.MustParseName(fmt.Sprintf("h%d.example%d.com.", i%8, rng.Intn(50)))
+			// h<i%8>.example<n>.com.
+			b.name = append(strconv.AppendInt(append(b.name[:0], 'h'), int64(i%8), 10), ".example"...)
+			b.name = append(strconv.AppendInt(b.name, int64(rng.Intn(50)), 10), ".com."...)
+			name = dnsmsg.MustParseName(string(b.name))
 		}
 		tr.Events = append(tr.Events, b.query(at,
 			netip.AddrPortFrom(clientAddr(zipfIndex(rng, cfg.Clients)), ephemeralPort(rng)),
@@ -331,16 +336,22 @@ var hostNames = []string{"www", "api", "cdn", "mail", "db", "shop", "dev", "imap
 // rootQuery picks a query a root server would see: mostly names below
 // TLDs (answered with referrals), some junk that gets NXDOMAIN, a few
 // direct TLD/root queries.
-func rootQuery(rng *rand.Rand, tlds []string) (dnsmsg.Name, dnsmsg.Type) {
+func (b *builder) rootQuery(rng *rand.Rand, tlds []string) (dnsmsg.Name, dnsmsg.Type) {
 	r := rng.Float64()
 	switch {
 	case r < 0.70:
+		// <host>.dom<n>.<tld>.
 		tld := tlds[rng.Intn(len(tlds))]
-		return dnsmsg.MustParseName(fmt.Sprintf("%s.dom%d.%s.",
-			hostNames[rng.Intn(len(hostNames))], rng.Intn(5000), tld)), pickQType(rng)
+		b.name = append(append(b.name[:0], hostNames[rng.Intn(len(hostNames))]...), ".dom"...)
+		b.name = append(strconv.AppendInt(b.name, int64(rng.Intn(5000)), 10), '.')
+		b.name = append(append(b.name, tld...), '.')
+		return dnsmsg.MustParseName(string(b.name)), pickQType(rng)
 	case r < 0.85:
-		// Chromium-style junk and leaked local names: NXDOMAIN at the root.
-		return dnsmsg.MustParseName(fmt.Sprintf("junk%d.local%d.", rng.Intn(100000), rng.Intn(100))), dnsmsg.TypeA
+		// Chromium-style junk and leaked local names: NXDOMAIN at the root
+		// (junk<n>.local<m>.).
+		b.name = append(strconv.AppendInt(append(b.name[:0], "junk"...), int64(rng.Intn(100000)), 10), ".local"...)
+		b.name = append(strconv.AppendInt(b.name, int64(rng.Intn(100)), 10), '.')
+		return dnsmsg.MustParseName(string(b.name)), dnsmsg.TypeA
 	case r < 0.95:
 		return dnsmsg.MustParseName(tlds[rng.Intn(len(tlds))] + "."), dnsmsg.TypeNS
 	default:
@@ -408,6 +419,7 @@ const (
 // own lifetime anyway. The zero value is ready to use.
 type builder struct {
 	m       dnsmsg.Msg
+	name    []byte // spells out each generated query name, without fmt
 	scratch []byte
 	edns    []dnsmsg.RR // the one OPT record DO queries carry, built once
 	wire    []byte
