@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-check bench-selftest vet fmt-check lint check fuzz-smoke experiments tools clean
+.PHONY: all build test race bench bench-check bench-selftest vet fmt-check lint check fuzz-smoke experiments tools loc clean
 
 # Per-target budget for the fuzz smoke pass (see fuzz-smoke).
 FUZZTIME ?= 30s
@@ -89,6 +89,11 @@ bench-check:
 	$(GO) run ./cmd/ldp-benchdiff -baseline bench.out -new bench.new -match 'internal/(transport|dnsmsg|server|zone|pcap|netsim|replay|hierarchy)\.' \
 		-speedup 'recs/s:ldplayer/internal/zone.BenchmarkZoneParseStreaming:ldplayer/internal/zone.BenchmarkZoneParseClassic:10' \
 		-speedup 'qps:ldplayer/internal/replay.BenchmarkReplayFastUDP:ldplayer/internal/replay.BenchmarkReplayFastUDPReference:5'
+
+# Non-test Go lines outside bench/ and testdata/, over tracked files:
+# the code-size figure ROADMAP.md tracks.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -Ev '^bench/|(^|/)testdata/' | xargs cat | wc -l
 
 # Regenerate every table and figure (about six minutes at small scale).
 experiments:

@@ -122,15 +122,42 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(replayOut, "sent:        400") {
 		t.Fatalf("replay output:\n%s\nserver log:\n%s", replayOut, srvLog.String())
 	}
+	if responses := replyCount(replayOut); responses < 400*95/100 {
+		t.Fatalf("replay lost responses: %d of 400\n%s", responses, replayOut)
+	}
+
+	// 6. DNS-over-TLS: a TLS-only server with its self-signed
+	//    certificate, replayed with -tls-insecure.
+	tlsAddr := "127.0.0.1:" + freePort(t)
+	tlsSrv := exec.Command(ldpServer,
+		"-zone", repoPath(t, "testdata/example.com.zone"),
+		"-udp", "", "-tcp", "", "-tls", tlsAddr, "-stats", "0")
+	var tlsLog bytes.Buffer
+	tlsSrv.Stdout, tlsSrv.Stderr = &tlsLog, &tlsLog
+	if err := tlsSrv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		tlsSrv.Process.Kill()
+		tlsSrv.Wait()
+	}()
+	waitForTCP(t, tlsAddr)
+	tlsOut := run(ldpReplay, "-input", tracePath, "-target", tlsAddr,
+		"-force-protocol", "tls", "-tls-insecure")
+	if got := replyCount(tlsOut); got < 400*95/100 {
+		t.Fatalf("TLS replay answered %d of 400\n%s\nserver log:\n%s", got, tlsOut, tlsLog.String())
+	}
+}
+
+// replyCount reads the answered-query count from ldp-replay's report.
+func replyCount(out string) int {
 	responses := -1
-	for _, line := range strings.Split(replayOut, "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "responses:") {
 			fmt.Sscanf(line, "responses:   %d", &responses)
 		}
 	}
-	if responses < 400*95/100 {
-		t.Fatalf("replay lost responses: %d of 400\n%s", responses, replayOut)
-	}
+	return responses
 }
 
 func repoPath(t *testing.T, rel string) string {
@@ -151,6 +178,20 @@ func freePort(t *testing.T) string {
 	defer pc.Close()
 	_, port, _ := net.SplitHostPort(pc.LocalAddr().String())
 	return port
+}
+
+// waitForTCP waits until addr accepts TCP connections.
+func waitForTCP(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if c, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
+			c.Close()
+			return
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatal("server did not come up")
 }
 
 func waitForUDP(t *testing.T, addr string) {

@@ -1,11 +1,14 @@
 // Command ldp-replay is LDplayer's distributed replay client (paper §2.6
 // and Fig 4). It runs in one of three roles:
 //
-//	standalone  — read a trace and replay it from this host:
+//	standalone  — read a trace and replay it from this host, the
+//	              controller feeding -queriers queriers directly:
 //	              ldp-replay -input trace.ldpb -target 127.0.0.1:5300
-//	controller  — stream a trace to remote distributor clients:
+//	controller  — stream a trace to remote clients, the paper's
+//	              distributors:
 //	              ldp-replay -role controller -input trace.ldpb -listen :9053 -clients 2
-//	client      — receive from a controller and replay locally:
+//	client      — receive from a controller and replay locally on
+//	              -queriers queriers:
 //	              ldp-replay -role client -controller ctrl:9053 -target ns:53
 //
 // Input files are detected by extension: .pcap, .txt (plain text), or
@@ -14,6 +17,7 @@ package main
 
 import (
 	"context"
+	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +31,6 @@ import (
 	"ldplayer/internal/obs"
 	"ldplayer/internal/pcap"
 	"ldplayer/internal/replay"
-	"ldplayer/internal/server"
 	"ldplayer/internal/trace"
 )
 
@@ -41,10 +44,9 @@ func main() {
 	listen := flag.String("listen", ":9053", "controller listen address")
 	controller := flag.String("controller", "", "controller address (client role)")
 	clients := flag.Int("clients", 1, "distributor clients the controller waits for")
-	distributors := flag.Int("distributors", 1, "local distributor processes")
-	queriers := flag.Int("queriers", 4, "querier processes per distributor")
+	queriers := flag.Int("queriers", 4, "queriers on this host (one goroutine and UDP socket each)")
 	fast := flag.Bool("fast", false, "replay as fast as possible (ignore trace timing)")
-	batch := flag.Int("batch", 0, "queries per distribution-tree batch (0 = default 32)")
+	batch := flag.Int("batch", 0, "queries per controller read, handed out as one batch per querier (0 = default 32)")
 	dropResults := flag.Bool("drop-results", false, "skip per-query result records (counters only; saves memory at high qps)")
 	connTimeout := flag.Duration("conn-timeout", 20*time.Second, "TCP/TLS connection reuse timeout")
 	forceProto := flag.String("force-protocol", "", "mutate all queries to udp|tcp|tls")
@@ -80,7 +82,7 @@ func main() {
 	}
 	switch *role {
 	case "standalone":
-		runStandalone(*input, *target, *distributors, *queriers, opts,
+		runStandalone(*input, *target, *queriers, opts,
 			*forceProto, *doFrac, *prefix)
 	case "controller":
 		runController(*input, *listen, *clients, *forceProto, *doFrac, *prefix)
@@ -140,14 +142,13 @@ func buildMutator(forceProto string, doFrac float64, prefix string) mutate.Mutat
 	return chain
 }
 
-func engineConfig(target string, distributors, queriers int, o engineOpts) replay.Config {
+func engineConfig(target string, queriers int, o engineOpts) replay.Config {
 	ap, err := netip.ParseAddrPort(target)
 	if err != nil {
 		log.Fatalf("bad -target %q: %v", target, err)
 	}
 	cfg := replay.Config{
 		Server:                 ap,
-		Distributors:           distributors,
 		QueriersPerDistributor: queriers,
 		ConnIdleTimeout:        o.connTimeout,
 		BatchSize:              o.batch,
@@ -158,22 +159,18 @@ func engineConfig(target string, distributors, queriers int, o engineOpts) repla
 		cfg.Mode = replay.FastAsPossible
 	}
 	if o.tlsInsecure {
-		_, cliCfg, err := server.SelfSignedTLS(ap.Addr().String())
-		if err == nil {
-			cliCfg.InsecureSkipVerify = true
-			cfg.TLSConfig = cliCfg
-		}
+		cfg.TLSConfig = &tls.Config{InsecureSkipVerify: true}
 	}
 	return cfg
 }
 
-func runStandalone(input, target string, distributors, queriers int, opts engineOpts,
+func runStandalone(input, target string, queriers int, opts engineOpts,
 	forceProto string, doFrac float64, prefix string) {
 	if input == "" || target == "" {
 		log.Fatal("standalone role needs -input and -target")
 	}
 	src := mutate.NewReader(openTrace(input), buildMutator(forceProto, doFrac, prefix))
-	eng, err := replay.New(engineConfig(target, distributors, queriers, opts))
+	eng, err := replay.New(engineConfig(target, queriers, opts))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -205,7 +202,7 @@ func runClient(controller, target string, queriers int, opts engineOpts) {
 	if controller == "" || target == "" {
 		log.Fatal("client role needs -controller and -target")
 	}
-	cfg := engineConfig(target, 1, queriers, opts)
+	cfg := engineConfig(target, queriers, opts)
 	rep, err := replay.RunRemoteClient(context.Background(), controller, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("trace: %d queries over %v\n", len(tr.Events), time.Second)
 
 	// 3. Replay with the original timing through the controller →
-	//    distributor → querier pipeline.
+	//    querier pipeline.
 	rep, err := ldplayer.Replay(ctx, ldplayer.ReplayConfig{
 		Server:                 netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), target.Port()),
 		QueriersPerDistributor: 2,

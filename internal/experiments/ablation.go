@@ -16,9 +16,9 @@ import (
 )
 
 // Ablations quantifies the design decisions DESIGN.md calls out:
-// proxies + split horizon vs a naive single server, two-level vs direct
-// distribution, timing compensation vs naive sleeps, binary vs text
-// input, and same-source affinity vs random assignment.
+// proxies + split horizon vs a naive single server, timing compensation
+// vs naive sleeps, binary vs text input, and same-source affinity vs
+// random assignment.
 func Ablations(sc Scale) (*Result, error) {
 	r := &Result{ID: "ablation", Title: "Design-choice ablations"}
 	if err := ablateHierarchy(r); err != nil {
@@ -31,9 +31,6 @@ func Ablations(sc Scale) (*Result, error) {
 		return nil, err
 	}
 	if err := ablateTimingCompensation(r, sc); err != nil {
-		return nil, err
-	}
-	if err := ablateDistributionLevels(r, sc); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -89,65 +86,6 @@ func ablateTimingCompensation(r *Result, sc Scale) error {
 	r.addCheck("delay compensation beats naive sleeping at the end of the trace",
 		"continuous adjustment keeps absolute timing (§2.6)",
 		fmt.Sprintf("%v vs %v drift", comp, naive), comp < naive)
-	return nil
-}
-
-// ablateDistributionLevels compares two-level distribution against the
-// direct controller->querier fan-out in fast mode.
-func ablateDistributionLevels(r *Result, sc Scale) error {
-	ls, err := startLiveServer()
-	if err != nil {
-		return err
-	}
-	defer ls.stop()
-	var m dnsmsg.Msg
-	m.SetQuestion("www.example.com.", dnsmsg.TypeA)
-	wire, err := m.Pack()
-	if err != nil {
-		return err
-	}
-	var events []*trace.Event
-	base := traceBase
-	for i := 0; i < 20000; i++ {
-		events = append(events, &trace.Event{
-			Time: base,
-			Src:  netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 8, 0, byte(i % 8)}), 5000),
-			Dst:  workload.ServerAddr, Proto: trace.UDP, Wire: wire,
-		})
-	}
-	run := func(direct bool) (float64, error) {
-		eng, err := replay.New(replay.Config{
-			Server:                 ls.addr,
-			Mode:                   replay.FastAsPossible,
-			Distributors:           2,
-			QueriersPerDistributor: 2,
-			DirectDistribution:     direct,
-			DropResults:            true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now() //ldp:nolint simclock — wall-clock measurement of a live-socket run
-		rep, err := eng.Run(context.Background(), &sliceReader{events: events})
-		if err != nil {
-			return 0, err
-		}
-		return float64(rep.Sent) / time.Since(start).Seconds(), nil
-	}
-	twoLevel, err := run(false)
-	if err != nil {
-		return err
-	}
-	oneLevel, err := run(true)
-	if err != nil {
-		return err
-	}
-	overhead := 100 * (oneLevel - twoLevel) / oneLevel
-	r.addRow("distribution: one-level %.0f q/s, two-level %.0f q/s (overhead %.0f%%)",
-		oneLevel, twoLevel, overhead)
-	r.addCheck("two-level distribution costs little and buys connection-count scaling",
-		"multiple levels exist to connect enough queriers (§2.6)",
-		fmt.Sprintf("%.0f%% throughput overhead", overhead), overhead < 60)
 	return nil
 }
 

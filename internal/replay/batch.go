@@ -2,15 +2,15 @@ package replay
 
 import "sync"
 
-// The distribution tree moves queries in batches: the controller and
-// distributors accumulate items per output lane and hand the lane a
-// whole batch, so one channel operation (and one scheduler wake-up)
-// covers ~BatchSize queries instead of one. Batches are pooled — the
+// The controller moves queries to its queriers in batches: it
+// accumulates items per querier lane and hands the lane a whole batch,
+// so one channel operation (and one scheduler wake-up) covers up to
+// BatchSize queries instead of one. Batches are pooled — the
 // steady-state hot path allocates nothing per query — and same-source
 // ordering survives because a source sticks to one lane and a lane's
 // batches are appended and consumed in FIFO order.
 
-// batch is one unit of tree hand-off: up to Config.BatchSize items.
+// batch is one controller→querier hand-off: up to Config.BatchSize items.
 type batch struct {
 	items []item
 }
@@ -37,9 +37,8 @@ func putBatch(b *batch) {
 	itemBatchPool.Put(b)
 }
 
-// laneBatcher accumulates items per output lane and forwards full
-// batches. Both tree levels use it: the controller over distributor
-// lanes, each distributor over its querier lanes.
+// laneBatcher accumulates items per querier lane and forwards full
+// batches; the flushes forward partial ones.
 type laneBatcher struct {
 	outs []chan *batch
 	cur  []*batch
@@ -72,9 +71,19 @@ func (lb *laneBatcher) flush(lane int) {
 	}
 }
 
-// flushAll forwards every partial batch. Producers call it whenever the
-// input stalls (a short read, an idle inbound channel) so a query is
-// never held hostage to the arrival of batch-mates.
+// flushIdle forwards the partial batch of every lane whose querier has
+// nothing queued: an idle querier would otherwise wait on batch-mates
+// still to be read, while a busy one loses nothing by getting a fuller
+// batch later.
+func (lb *laneBatcher) flushIdle() {
+	for lane, out := range lb.outs {
+		if len(out) == 0 {
+			lb.flush(lane)
+		}
+	}
+}
+
+// flushAll forwards every partial batch.
 func (lb *laneBatcher) flushAll() {
 	for lane := range lb.outs {
 		lb.flush(lane)

@@ -67,9 +67,10 @@ func TestBatchedMatchesReference(t *testing.T) {
 	if batched.SendErrs != ref.SendErrs {
 		t.Errorf("sendErrs: batched=%d reference=%d", batched.SendErrs, ref.SendErrs)
 	}
-	// Both planes route with the same sticky tree over the same arrival
-	// order, so connection reuse must agree exactly: 3 TCP sources → 3
-	// connections, each opened once.
+	// Both planes stick each source to one querier — the batched plane
+	// with one sticky over its four queriers, the reference with a
+	// sticky per level of its 2 × 2 tree — so connection reuse must
+	// agree exactly: 3 TCP sources → 3 connections, each opened once.
 	if batched.ConnsOpened != ref.ConnsOpened {
 		t.Errorf("connsOpened: batched=%d reference=%d", batched.ConnsOpened, ref.ConnsOpened)
 	}

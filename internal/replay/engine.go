@@ -14,11 +14,11 @@ import (
 )
 
 // Engine is the in-process replay pipeline: one controller goroutine
-// (Reader + Postman), D distributor goroutines, D×Q querier goroutines.
-// The same pipeline shape runs across machines via the protocol in
-// remote.go; in-process channels stand in for the TCP links. Queries
-// move through the tree in pooled batches (one channel operation per
-// ~BatchSize queries).
+// (Reader + Postman) feeding Distributors×QueriersPerDistributor
+// querier goroutines directly, in pooled batches (one channel operation
+// per ~BatchSize queries). The paper's distributor level is a process
+// boundary: across machines each remote client (remote.go) runs an
+// Engine of its own, fed by the controller over TCP.
 type Engine struct {
 	cfg Config
 }
@@ -90,51 +90,22 @@ func (e *Engine) run(ctx context.Context, input trace.Reader,
 }
 
 // runBatched is the production data plane: the controller reads the
-// input in bulk (trace.ReadSome), accumulates per-lane batches, and the
-// tree forwards them whole.
+// input in bulk (trace.ReadSome), routes each query to its source's
+// querier and hands the queriers batches.
 func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]*queryReport, error) {
-	// Build the distribution tree and the controller's lanes (outs):
-	// two-level by default, routed at ingress for both levels with the
-	// querier lane stamped into the item (see treeRouter); the
-	// ablation's direct mode routes sources straight onto queriers.
-	var queriers []*querier
-	var dists []*distributor
-	var outs []chan *batch
-	var router *sticky
-	var tree *treeRouter
-	if cfg.DirectDistribution {
-		for range cfg.Distributors * cfg.QueriersPerDistributor {
-			q := newQuerier(cfg, st)
-			queriers = append(queriers, q)
-			outs = append(outs, q.in)
-		}
-		router = newSticky(len(outs))
-	} else {
-		for range cfg.Distributors {
-			qs := make([]*querier, cfg.QueriersPerDistributor)
-			for qi := range qs {
-				qs[qi] = newQuerier(cfg, st)
-			}
-			queriers = append(queriers, qs...)
-			d := newDistributor(qs, cfg)
-			dists = append(dists, d)
-			outs = append(outs, d.in)
-		}
-		tree = newTreeRouter(len(dists), cfg.QueriersPerDistributor)
-	}
-
+	queriers := make([]*querier, cfg.Distributors*cfg.QueriersPerDistributor)
+	outs := make([]chan *batch, len(queriers))
 	var wg sync.WaitGroup
-	for _, d := range dists {
-		wg.Add(1)
-		go func() { defer wg.Done(); d.run() }()
-	}
-	for _, q := range queriers {
+	for i := range queriers {
+		q := newQuerier(cfg, st)
+		queriers[i], outs[i] = q, q.in
 		wg.Add(1)
 		go func() { defer wg.Done(); q.run(ctx) }()
 	}
+	router := newSticky(len(queriers))
 
 	// Controller: read the first query to learn trace start, broadcast
-	// the time synchronization, then stream batches down the tree.
+	// the time synchronization, then stream batches to the queriers.
 	lb := newLaneBatcher(outs, cfg.BatchSize)
 	evs := make([]*trace.Event, cfg.BatchSize)
 	var traceStart time.Time
@@ -164,12 +135,7 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 					}
 					started = true
 				}
-				if tree != nil {
-					p := tree.pick(ev.Src.Addr())
-					lb.add(p.dist, item{ev: ev, offset: ev.Time.Sub(traceStart), lane: p.querier})
-				} else {
-					lb.add(router.pick(ev.Src.Addr()), item{ev: ev, offset: ev.Time.Sub(traceStart)})
-				}
+				lb.add(router.pick(ev.Src.Addr()), item{ev: ev, offset: ev.Time.Sub(traceStart)})
 			}
 			if n < len(evs) {
 				// Short read: the source is struggling (live stream, slow
@@ -177,6 +143,11 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 				// than holding early queries for batch-mates that may be
 				// a long time coming.
 				lb.flushAll()
+			} else {
+				// The next read may block too (a closed loop admits a
+				// query only as another is answered), so feed any querier
+				// that has run dry.
+				lb.flushIdle()
 			}
 		}
 	}()
@@ -188,51 +159,6 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 		reports[i] = &q.queryReport
 	}
 	return reports, readErr
-}
-
-// distributor forwards batches to queriers with same-source affinity; it
-// exists as a real pipeline stage (rather than a function call) because
-// the paper's design makes it one, and the ablation bench measures what
-// the extra hop costs. Inbound batches are re-cut per querier lane —
-// pre-stamped by the controller's treeRouter, so forwarding is an array
-// index, not a map lookup. Partial lane batches flush whenever the
-// inbound channel goes idle, so batching never adds latency beyond what
-// the channel already holds.
-type distributor struct {
-	in       chan *batch
-	queriers []*querier
-	size     int
-}
-
-func newDistributor(qs []*querier, cfg Config) *distributor {
-	depth := cfg.ChannelDepth / cfg.BatchSize
-	if depth < 1 {
-		depth = 1
-	}
-	return &distributor{
-		in:       make(chan *batch, depth),
-		queriers: qs,
-		size:     cfg.BatchSize,
-	}
-}
-
-func (d *distributor) run() {
-	outs := make([]chan *batch, len(d.queriers))
-	for i, q := range d.queriers {
-		outs[i] = q.in
-	}
-	lb := newLaneBatcher(outs, d.size)
-	for b := range d.in {
-		for i := range b.items {
-			it := b.items[i]
-			lb.add(it.lane, it)
-		}
-		putBatch(b)
-		if len(d.in) == 0 {
-			lb.flushAll()
-		}
-	}
-	lb.closeAll()
 }
 
 // levelList tracks per-lane load with an incrementally-maintained exact
@@ -312,47 +238,4 @@ func (s *sticky) pick(src netip.Addr) int {
 	lane := s.ll.place()
 	s.assign[src] = lane
 	return lane
-}
-
-// lanePair is one source's place in the two-level tree.
-type lanePair struct {
-	dist    int
-	querier int // lane within the distributor
-}
-
-// treeRouter makes both levels' sticky decisions at ingress with a
-// single map lookup per query, storing the (distributor, querier) pair
-// against the source. The distributor then forwards by the stamped lane
-// instead of re-hashing every source — address hashing was one of the
-// largest per-query costs when both levels kept separate maps. The
-// decisions are identical to two stacked stickies: the second level
-// sees its items in the same relative order either way.
-type treeRouter struct {
-	assign map[netip.Addr]lanePair
-	dists  *levelList
-	qs     []*levelList // per-distributor querier loads
-}
-
-func newTreeRouter(dists, queriersPer int) *treeRouter {
-	r := &treeRouter{
-		assign: make(map[netip.Addr]lanePair),
-		dists:  newLevelList(dists),
-		qs:     make([]*levelList, dists),
-	}
-	for i := range r.qs {
-		r.qs[i] = newLevelList(queriersPer)
-	}
-	return r
-}
-
-func (r *treeRouter) pick(src netip.Addr) lanePair {
-	if p, ok := r.assign[src]; ok {
-		r.dists.bump(p.dist)
-		r.qs[p.dist].bump(p.querier)
-		return p
-	}
-	d := r.dists.place()
-	p := lanePair{dist: d, querier: r.qs[d].place()}
-	r.assign[src] = p
-	return p
 }

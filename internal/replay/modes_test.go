@@ -9,9 +9,9 @@ import (
 	"ldplayer/internal/workload"
 )
 
-// TestDirectDistributionMode: the one-level ablation fan-out must
-// deliver everything with the same affinity guarantees.
-func TestDirectDistributionMode(t *testing.T) {
+// TestDistributorsMultiplyQueriers: a 2 × 2 engine runs four queriers
+// fed straight by the controller and delivers the whole trace.
+func TestDistributorsMultiplyQueriers(t *testing.T) {
 	srv, ap, stop := testServer(t)
 	defer stop()
 	tr := workload.Synthetic(workload.SyntheticConfig{
@@ -24,7 +24,6 @@ func TestDirectDistributionMode(t *testing.T) {
 		Server:                 ap,
 		Distributors:           2,
 		QueriersPerDistributor: 2,
-		DirectDistribution:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"math/rand"
 	"net/netip"
 	"os"
 	"sort"
@@ -135,56 +136,56 @@ func TestPacerClosesTimerFD(t *testing.T) {
 
 // TestBatchedDistributionSameSourceFIFO: a source's queries must arrive
 // at its querier in trace order even when they straddle batch
-// boundaries and share batches with other sources. Items are routed
-// through the real treeRouter (which stamps the querier lane at
-// ingress, as the controller does) and the queriers are built but never
-// started, so their inbound channels record exactly what the
-// distributor delivered, in order.
+// boundaries and share batches with other sources. Items are routed and
+// batched as the controller does it — sticky picks the querier lane,
+// the laneBatcher cuts and flushes per-lane batches — and the queriers
+// are built but never started, so their inbound channels record exactly
+// what the controller delivered, in order.
 func TestBatchedDistributionSameSourceFIFO(t *testing.T) {
 	cfg := Config{
 		Server:                 netip.MustParseAddrPort("127.0.0.1:53"),
-		Distributors:           1,
 		QueriersPerDistributor: 3,
 		BatchSize:              4,
 		ChannelDepth:           8192,
 	}.withDefaults()
 	st := newStats(obs.NewRegistry())
 	qs := make([]*querier, cfg.QueriersPerDistributor)
+	outs := make([]chan *batch, len(qs))
 	for i := range qs {
 		qs[i] = newQuerier(cfg, st)
+		outs[i] = qs[i].in
 	}
-	d := newDistributor(qs, cfg)
+	router := newSticky(len(qs))
+	lb := newLaneBatcher(outs, cfg.BatchSize)
 
-	// 8 sources, 50 queries each, interleaved in global offset order and
-	// cut into inbound batches of cycling sizes 1..5 so batch boundaries
-	// land everywhere relative to the distributor's own re-batching.
+	// 8 sources, 50 queries each, in a seeded shuffle (so a source can
+	// recur within one batch), read in chunks of cycling sizes 1..5 and
+	// flushed after each chunk as runBatched flushes after a read: all
+	// lanes after a chunk shorter than BatchSize, idle lanes otherwise.
+	// Batch boundaries land everywhere relative to each source's
+	// queries.
 	const sources, perSource = 8, 50
-	go func() {
-		router := newTreeRouter(1, cfg.QueriersPerDistributor)
-		seq := 0
-		cut := 1
-		b := getBatch(cfg.BatchSize)
-		for round := 0; round < perSource; round++ {
-			for s := 0; s < sources; s++ {
-				ev := &trace.Event{Src: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(s)}), 5000)}
-				p := router.pick(ev.Src.Addr())
-				b.items = append(b.items, item{ev: ev, offset: time.Duration(seq), lane: p.querier})
-				seq++
-				if len(b.items) >= cut {
-					d.in <- b
-					b = getBatch(cfg.BatchSize)
-					cut = cut%5 + 1
-				}
+	order := make([]int, 0, sources*perSource)
+	for s := range sources {
+		for range perSource {
+			order = append(order, s)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	cut, inCut := 1, 0
+	for seq, s := range order {
+		ev := &trace.Event{Src: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(s)}), 5000)}
+		lb.add(router.pick(ev.Src.Addr()), item{ev: ev, offset: time.Duration(seq)})
+		if inCut++; inCut == cut {
+			if cut < cfg.BatchSize {
+				lb.flushAll()
+			} else {
+				lb.flushIdle()
 			}
+			cut, inCut = cut%5+1, 0
 		}
-		if len(b.items) > 0 {
-			d.in <- b
-		} else {
-			putBatch(b)
-		}
-		close(d.in)
-	}()
-	d.run()
+	}
+	lb.closeAll()
 
 	owner := map[netip.Addr]int{}
 	lastOffset := map[netip.Addr]time.Duration{}

@@ -11,7 +11,7 @@ import (
 	"ldplayer/internal/transport"
 )
 
-// querier is the bottom of the distribution tree: it emulates query
+// querier is the end of the controller's hand-off: it emulates query
 // sources, schedules sends against the trace timeline and matches
 // responses. One goroutine runs the send loop over inbound batches. UDP
 // queries go out through the querier's one udpSender (sendmmsg, answers

@@ -13,7 +13,8 @@ import (
 )
 
 // The reference data plane: the engine exactly as it was before the
-// batched rebuild — one channel operation per query, one time.NewTimer
+// batched rebuild — a distributor stage between controller and
+// queriers, one channel operation per query, one time.NewTimer
 // per Timed wait, per-query transport.Conn sends, results recorded
 // under a mutex, drain by 5 ms polling. It lives in a test file: no
 // binary can select it, but the speedup gate in `make bench-check`
@@ -34,29 +35,22 @@ func runPlane(ctx context.Context, cfg Config, input trace.Reader, reference boo
 	return eng.Run(ctx, input)
 }
 
-// runReference mirrors runBatched over per-item channels.
+// runReference mirrors runBatched over per-item channels, through the
+// two-level tree of stacked stickies the engine used to run in process.
 func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader) ([]*queryReport, error) {
 	var queriers []*refQuerier
-	var dists []*refDistributor
-	if cfg.DirectDistribution {
-		n := cfg.Distributors * cfg.QueriersPerDistributor
-		for i := 0; i < n; i++ {
-			queriers = append(queriers, newRefQuerier(cfg, st))
+	dists := make([]*refDistributor, cfg.Distributors)
+	for d := range dists {
+		qs := make([]*refQuerier, cfg.QueriersPerDistributor)
+		for qi := range qs {
+			q := newRefQuerier(cfg, st)
+			qs[qi] = q
+			queriers = append(queriers, q)
 		}
-	} else {
-		dists = make([]*refDistributor, cfg.Distributors)
-		for d := range dists {
-			qs := make([]*refQuerier, cfg.QueriersPerDistributor)
-			for qi := range qs {
-				q := newRefQuerier(cfg, st)
-				qs[qi] = q
-				queriers = append(queriers, q)
-			}
-			dists[d] = &refDistributor{
-				in:       make(chan item, cfg.ChannelDepth),
-				queriers: qs,
-				router:   newSticky(len(qs)),
-			}
+		dists[d] = &refDistributor{
+			in:       make(chan item, cfg.ChannelDepth),
+			queriers: qs,
+			router:   newSticky(len(qs)),
 		}
 	}
 
@@ -70,20 +64,11 @@ func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader
 		go func() { defer wg.Done(); q.run(ctx) }()
 	}
 
-	lanes := len(dists)
-	if cfg.DirectDistribution {
-		lanes = len(queriers)
-	}
-	router := newSticky(lanes)
+	router := newSticky(len(dists))
 	var traceStart time.Time
 	started := false
 	readErr := func() error {
 		defer func() {
-			if cfg.DirectDistribution {
-				for _, q := range queriers {
-					close(q.in)
-				}
-			}
 			for _, d := range dists {
 				close(d.in)
 			}
@@ -110,12 +95,7 @@ func runReference(ctx context.Context, cfg Config, st *stats, input trace.Reader
 				}
 				started = true
 			}
-			it := item{ev: ev, offset: ev.Time.Sub(traceStart)}
-			if cfg.DirectDistribution {
-				queriers[router.pick(ev.Src.Addr())].in <- it
-			} else {
-				dists[router.pick(ev.Src.Addr())].in <- it
-			}
+			dists[router.pick(ev.Src.Addr())].in <- item{ev: ev, offset: ev.Time.Sub(traceStart)}
 		}
 	}()
 

@@ -12,8 +12,9 @@ import (
 
 // Cross-host distribution (paper Fig 4): the controller's Postman streams
 // the query stream to distributor machines over TCP, chosen for reliable
-// message exchange. Each client machine runs its own distributor and
-// querier processes — here, an Engine fed by the connection. Timing
+// message exchange. Each client machine is one of the paper's
+// distributors: an Engine fed by the connection, whose controller
+// hands the stream straight to its local queriers. Timing
 // synchronization follows the paper: the stream announces the trace
 // start, and each querier stamps its own local receipt time as t₁, so
 // clocks never need to agree across machines.
@@ -81,7 +82,8 @@ func ServeController(ctx context.Context, ln net.Listener, input trace.Reader, n
 }
 
 // RunRemoteClient connects to a controller and replays the received
-// stream with a local engine (distributor + queriers on this machine).
+// stream with a local engine: this machine's distributor, feeding its
+// queriers.
 func RunRemoteClient(ctx context.Context, controllerAddr string, cfg Config) (*Report, error) {
 	//ldp:nolint transportonly — control-plane stream from the controller, carries trace events not DNS traffic
 	conn, err := net.Dial("tcp", controllerAddr)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestDistributedReplay runs the full Fig 4 shape in-process: one
-// controller and two client "machines" connected over real TCP, each
-// running its own distributor and queriers, replaying against a live
-// server.
+// controller and two client "machines" (the distributors) connected
+// over real TCP, each running an engine of its own, replaying against a
+// live server.
 func TestDistributedReplay(t *testing.T) {
 	_, serverAP, stop := testServer(t)
 	defer stop()

@@ -1,14 +1,17 @@
 // Package replay implements LDplayer's distributed query replay system
 // (paper §2.6 and §3): a Controller whose Reader pre-loads the query
-// stream and whose Postman distributes it, Distributors that fan queries
-// out, and Queriers that emulate query sources over UDP, TCP and TLS
-// sockets with connection reuse. Queries are scheduled against the
-// original trace timeline by continuously compensating accumulated
-// pipeline delay (ΔTᵢ = Δt̄ᵢ − Δtᵢ); fast mode drops timing for load
-// tests. Same-source queries stick to the same querier, in trace order:
-// a stream source keeps its own connection, the dependency the paper
-// preserves because it drives DNS-over-TCP connection reuse, while UDP
-// queries of every source on a querier share its one socket.
+// stream and whose Postman hands it straight to Queriers that emulate
+// query sources over UDP, TCP and TLS sockets with connection reuse.
+// Within one process the controller feeds its queriers directly; the
+// paper's distributors, which exist to reach more queriers than one host
+// holds, are the remote clients of remote.go, each running an Engine of
+// its own. Queries are scheduled against the original trace timeline by
+// continuously compensating accumulated pipeline delay
+// (ΔTᵢ = Δt̄ᵢ − Δtᵢ); fast mode drops timing for load tests. Same-source
+// queries stick to the same querier, in trace order: a stream source
+// keeps its own connection, the dependency the paper preserves because
+// it drives DNS-over-TCP connection reuse, while UDP queries of every
+// source on a querier share its one socket.
 package replay
 
 import (
@@ -42,9 +45,12 @@ type Config struct {
 	// TLSConfig enables DNS-over-TLS queriers.
 	TLSConfig *tls.Config
 
-	// Distributors is the fan-out width at the first level (default 1).
-	Distributors int
-	// QueriersPerDistributor is the second-level width (default 4).
+	// Distributors and QueriersPerDistributor size the querier pool
+	// (defaults 1 and 4). In one process the two only multiply: the
+	// engine runs Distributors×QueriersPerDistributor queriers, all fed
+	// by the controller. The paper's distributor processes are the
+	// remote clients of remote.go.
+	Distributors           int
 	QueriersPerDistributor int
 
 	Mode Mode
@@ -55,15 +61,17 @@ type Config struct {
 	// ResponseTimeout bounds how long the engine waits for outstanding
 	// responses after the last query is sent.
 	ResponseTimeout time.Duration
-	// ChannelDepth is the per-stage buffer (the Reader's pre-load window),
-	// in queries; the batched tree divides it by BatchSize.
+	// ChannelDepth sizes each querier's inbound buffer (the Reader's
+	// pre-load window): ChannelDepth/BatchSize batches, so at most
+	// ChannelDepth queries.
 	ChannelDepth int
-	// BatchSize is how many queries ride one distribution-tree hand-off
-	// (default 32). The controller and distributors accumulate per-lane
-	// batches and forward them whole, amortizing channel operations
-	// ~BatchSize× while preserving same-source ordering: a source's
-	// queries stay in trace order inside a batch and across batches on
-	// the same lane.
+	// BatchSize is how many queries ride one controller→querier hand-off
+	// (default 32). The controller accumulates a batch per querier and
+	// forwards it when full, or partial when the input runs short or
+	// the querier has nothing queued, amortizing channel operations up
+	// to BatchSize× while preserving same-source ordering: a source's
+	// queries stay in trace order inside a batch and across batches to
+	// the same querier.
 	BatchSize int
 	// DropResults disables per-query result recording (throughput runs
 	// replaying tens of millions of queries don't want the memory).
@@ -73,9 +81,6 @@ type Config struct {
 	// (ΔTᵢ = Δt̄ᵢ − Δtᵢ) and sleeps raw inter-arrival gaps instead. Only
 	// for the ablation bench: pipeline delay then accumulates as drift.
 	NaiveTiming bool
-	// DirectDistribution bypasses the distributor stage (one-level
-	// controller→querier fan-out) for the coordination-overhead ablation.
-	DirectDistribution bool
 
 	// Obs is the registry the engine's live instruments ("replay."
 	// namespace) register in. Pass obs.Default to watch the run from a
@@ -160,9 +165,8 @@ type Report struct {
 	BytesSent uint64
 }
 
-// item is one unit of work flowing controller -> distributor -> querier.
+// item is one unit of work flowing controller -> querier.
 type item struct {
 	ev     *trace.Event
 	offset time.Duration // trace time relative to trace start
-	lane   int           // querier lane within the distributor (treeRouter stamp)
 }

@@ -71,7 +71,7 @@ func (l *resultLog) at(idx int) *QueryResult {
 // a log unsorted: a stable in-place sort then keeps that property.
 // Writers must have quiesced (run() returned, conns closed and waited).
 func mergeResults(reports []*queryReport) []QueryResult {
-	var stack [16]logCursor // covers the default trees; more logs spill to the heap
+	var stack [16]logCursor // covers the default querier pools; more logs spill to the heap
 	cs, total := stack[:0], 0
 	for _, r := range reports {
 		if l := &r.results; l.n > 0 {

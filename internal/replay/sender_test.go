@@ -34,14 +34,40 @@ func openSockets() (int, error) {
 	return n, nil
 }
 
+// settledSockets is openSockets once the count holds still for three
+// readings 10 ms apart (or after a second): a socket an earlier test
+// closed stays in the table until its blocked reader returns.
+func settledSockets() (int, error) {
+	n, err := openSockets()
+	for same, tries := 0, 0; err == nil && same < 2 && tries < 100; tries++ {
+		time.Sleep(10 * time.Millisecond)
+		var m int
+		if m, err = openSockets(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n, err
+}
+
 // TestTimedUDPOneSocketPerQuerier: a Timed UDP replay of 2000 sources
 // over real loopback opens one socket per querier, not one per source,
 // and dials no transport.Conn — while each result still names its trace
 // source, no query leaves early, and a source's queries go out in trace
-// order.
+// order. The engine runs Distributors × QueriersPerDistributor queriers.
 func TestTimedUDPOneSocketPerQuerier(t *testing.T) {
-	const sources, perSource, queriers = 2000, 2, 2
+	for _, c := range []struct{ dists, perDist int }{{1, 2}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", c.dists, c.perDist), func(t *testing.T) {
+			testTimedUDPOneSocketPerQuerier(t, c.dists, c.perDist)
+		})
+	}
+}
+
+func testTimedUDPOneSocketPerQuerier(t *testing.T, dists, perDist int) {
+	const sources, perSource = 2000, 2
 	const gap = 100 * time.Microsecond
+	queriers := dists * perDist
 	_, ap, stop := testServer(t)
 	defer stop()
 
@@ -62,14 +88,14 @@ func TestTimedUDPOneSocketPerQuerier(t *testing.T) {
 			Wire:  wire,
 		}
 	}
-	eng, err := New(Config{Server: ap, Distributors: 1, QueriersPerDistributor: queriers})
+	eng, err := New(Config{Server: ap, Distributors: dists, QueriersPerDistributor: perDist})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dials := obs.Default.Counter("transport.conn.dials")
 	dials0 := dials.Value()
-	before, err := openSockets()
+	before, err := settledSockets()
 	if err != nil {
 		t.Skipf("no fd table to count: %v", err)
 	}
@@ -94,8 +120,8 @@ func TestTimedUDPOneSocketPerQuerier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened := <-peak - before; opened > queriers {
-		t.Errorf("%d sources over %d queriers opened %d sockets, want <= %d", sources, queriers, opened, queriers)
+	if opened := <-peak - before; opened != queriers {
+		t.Errorf("%d sources over %d queriers opened %d sockets, want %d", sources, queriers, opened, queriers)
 	}
 	if d := dials.Value() - dials0; d != 0 {
 		t.Errorf("transport.conn.dials moved by %d: UDP queries rode per-source Conns", d)

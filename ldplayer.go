@@ -88,8 +88,8 @@ func ParseName(s string) (Name, error) { return dnsmsg.ParseName(s) }
 // ParseZone reads a zone in master-file syntax.
 func ParseZone(r io.Reader, origin Name) (*Zone, error) { return zone.Parse(r, origin) }
 
-// Replay replays a query stream against a DNS server with the paper's
-// controller/distributor/querier pipeline.
+// Replay replays a query stream against a DNS server: the paper's
+// controller feeding its queriers, in this process.
 func Replay(ctx context.Context, cfg ReplayConfig, input TraceReader) (*ReplayReport, error) {
 	eng, err := replay.New(cfg)
 	if err != nil {
