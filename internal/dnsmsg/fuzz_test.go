@@ -2,8 +2,10 @@ package dnsmsg
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -186,6 +188,51 @@ func FuzzNameUnpack(f *testing.F) {
 		}
 		if _, err := AppendNameWire(nil, name); err != nil {
 			t.Fatalf("accepted name %q does not re-encode: %v", name, err)
+		}
+	})
+}
+
+// FuzzAppendQuery holds AppendQuery to the reference encoder: for any
+// name ParseName accepts, its bytes are those SetQuestion + SetEDNS +
+// Pack give; for any name ParseName rejects, it returns ParseName's
+// error and leaves buf as it was.
+func FuzzAppendQuery(f *testing.F) {
+	f.Add("www.example.com.", uint16(TypeA), uint16(0), false, uint16(0x1234))
+	f.Add("WWW.Example.COM", uint16(TypeAAAA), uint16(4096), true, uint16(7))
+	f.Add(".", uint16(TypeDNSKEY), uint16(1232), false, uint16(0))
+	f.Add("junk42.local7.", uint16(TypeA), uint16(512), true, uint16(0xFFFF))
+	f.Add("a..b.", uint16(TypeA), uint16(0), false, uint16(1))
+	f.Add("", uint16(TypeNS), uint16(0), false, uint16(1))
+	f.Add(strings.Repeat("x", 64)+".com.", uint16(TypeA), uint16(0), false, uint16(1))
+	f.Add(strings.Repeat("abcdefg.", 32), uint16(TypeA), uint16(0), false, uint16(1))
+	f.Fuzz(func(t *testing.T, name string, qtype, udpSize uint16, do bool, id uint16) {
+		prefix := []byte{0xAB, 0xCD}
+		got, err := AppendQuery(prefix, id, []byte(name), Type(qtype), udpSize, do)
+		n, perr := ParseName(name)
+		if perr != nil {
+			if !errors.Is(err, perr) {
+				t.Fatalf("AppendQuery(%q) error %v, ParseName error %v", name, err, perr)
+			}
+			if !bytes.Equal(got, prefix) {
+				t.Fatalf("AppendQuery(%q) failed but wrote %x", name, got[len(prefix):])
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("AppendQuery(%q): %v, but ParseName accepts it", name, err)
+		}
+		var m Msg
+		m.ID = id
+		m.SetQuestion(n, Type(qtype))
+		if udpSize != 0 {
+			m.SetEDNS(udpSize, do)
+		}
+		want, err := m.Pack()
+		if err != nil {
+			t.Fatalf("reference Pack of %q: %v", n, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendQuery(%q, %d, %d, %v)\n got %x\nwant %x", name, qtype, udpSize, do, got[len(prefix):], want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package dnsmsg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,6 +68,46 @@ func (m *Msg) SetQuestion(name Name, t Type) *Msg {
 		ar:               m.ar,
 	}
 	return m
+}
+
+// AppendQuery appends to buf the bytes Pack gives a Msg with this ID,
+// every header flag clear, the one question (name, t) IN and, when
+// udpSize is not zero, the OPT record SetEDNS(udpSize, do) adds. name is
+// in presentation form and is taken as ParseName takes it (lowercased, a
+// missing trailing dot implied); on error buf comes back unchanged. Such
+// a message has no suffix to compress, so no Name, Msg or compression
+// map is built: trace generators write each query straight into place.
+func AppendQuery(buf []byte, id uint16, name []byte, t Type, udpSize uint16, do bool) ([]byte, error) {
+	if err := CheckName(name); err != nil {
+		return buf, err
+	}
+	start := len(buf)
+	buf = append(buf, byte(id>>8), byte(id), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+	if name = bytes.TrimSuffix(name, []byte(".")); len(name) > 0 {
+		// Copy the name behind a length byte, then turn each dot into the
+		// next label's length byte, lowercasing on the way.
+		lenAt := len(buf)
+		buf = append(append(buf, 0), name...)
+		for i := lenAt + 1; i < len(buf); i++ {
+			switch c := buf[i]; {
+			case c == '.':
+				buf[lenAt], lenAt = byte(i-lenAt-1), i
+			case c >= 'A' && c <= 'Z':
+				buf[i] = c + 'a' - 'A'
+			}
+		}
+		buf[lenAt] = byte(len(buf) - lenAt - 1)
+	}
+	buf = append(buf, 0, byte(t>>8), byte(t), 0, byte(ClassINET))
+	if udpSize != 0 {
+		buf[start+11] = 1 // ARCOUNT
+		var flags byte
+		if do {
+			flags = 0x80 // DO, the top bit of the TTL's low 16 bits
+		}
+		buf = append(buf, 0, byte(TypeOPT>>8), byte(TypeOPT), byte(udpSize>>8), byte(udpSize), 0, 0, flags, 0, 0, 0)
+	}
+	return buf, nil
 }
 
 // SetReply turns m into an empty response to query q, copying ID,

@@ -26,37 +26,50 @@ var (
 // ParseName canonicalizes a presentation-form name: lowercases it and
 // ensures the trailing dot. It rejects empty and oversized names.
 func ParseName(s string) (Name, error) {
-	if s == "" {
-		return "", ErrBadName
-	}
-	if s == "." {
-		return Root, nil
+	if err := CheckName(s); err != nil {
+		return "", err
 	}
 	if !strings.HasSuffix(s, ".") {
 		s += "."
 	}
-	s = asciiLower(s)
-	// Validate label lengths and total length.
+	return Name(asciiLower(s)), nil
+}
+
+// CheckName holds ParseName's rules for a presentation-form name, with
+// or without its trailing dot, and returns ParseName's error: the name
+// is not empty, no label is empty or longer than MaxLabelLen, and its
+// wire form fits MaxNameLen. Case is not looked at. AppendQuery and the
+// zone parsers apply the rules through it.
+func CheckName[S string | []byte](s S) error {
+	if len(s) == 0 {
+		return ErrBadName
+	}
+	if len(s) == 1 && s[0] == '.' {
+		return nil
+	}
 	total := 1 // trailing root byte
 	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] != '.' {
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != '.' {
 			continue
+		}
+		if i == len(s) && start == i {
+			break // the trailing dot was given
 		}
 		l := i - start
 		if l == 0 {
-			return "", ErrBadName // empty label ("a..b")
+			return ErrBadName // empty label ("a..b")
 		}
 		if l > MaxLabelLen {
-			return "", ErrLabelTooLong
+			return ErrLabelTooLong
 		}
 		total += l + 1
 		start = i + 1
 	}
 	if total > MaxNameLen {
-		return "", ErrNameTooLong
+		return ErrNameTooLong
 	}
-	return Name(s), nil
+	return nil
 }
 
 // asciiLower lowercases A-Z only, leaving every other byte intact. DNS

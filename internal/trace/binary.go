@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/netip"
 	"time"
+
+	"ldplayer/internal/dnsmsg"
 )
 
 // The internal binary stream (paper §2.5 "Binary for fast processing"):
@@ -29,8 +31,15 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Write appends one record.
+// Write appends one record. Its header and wire are appended to the
+// buffered writer's free space and written in one copy, flushing first
+// when the record does not fit. A wire longer than the 65 535 bytes a
+// DNS message may take is refused before anything is written, since
+// the reader would reject the record.
 func (bw *BinaryWriter) Write(e *Event) error {
+	if len(e.Wire) > dnsmsg.MaxMsgSize {
+		return fmt.Errorf("trace: %d-byte wire exceeds %d bytes", len(e.Wire), dnsmsg.MaxMsgSize)
+	}
 	if !bw.wroteHeader {
 		if _, err := bw.w.Write(binaryMagic); err != nil {
 			return err
@@ -38,20 +47,20 @@ func (bw *BinaryWriter) Write(e *Event) error {
 		bw.wroteHeader = true
 	}
 	total := binRecordFixed + len(e.Wire)
-	var hdr [4 + binRecordFixed]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(total))
-	binary.BigEndian.PutUint64(hdr[4:], uint64(e.Time.UnixNano()))
-	src16 := e.Src.Addr().As16()
-	copy(hdr[12:], src16[:])
-	binary.BigEndian.PutUint16(hdr[28:], e.Src.Port())
-	dst16 := e.Dst.Addr().As16()
-	copy(hdr[30:], dst16[:])
-	binary.BigEndian.PutUint16(hdr[46:], e.Dst.Port())
-	hdr[48] = byte(e.Proto)
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		return err
+	if bw.w.Available() < 4+total {
+		if err := bw.w.Flush(); err != nil {
+			return err
+		}
 	}
-	_, err := bw.w.Write(e.Wire)
+	b := bw.w.AvailableBuffer()
+	b = binary.BigEndian.AppendUint32(b, uint32(total))
+	b = binary.BigEndian.AppendUint64(b, uint64(e.Time.UnixNano()))
+	src16 := e.Src.Addr().As16()
+	b = binary.BigEndian.AppendUint16(append(b, src16[:]...), e.Src.Port())
+	dst16 := e.Dst.Addr().As16()
+	b = binary.BigEndian.AppendUint16(append(b, dst16[:]...), e.Dst.Port())
+	b = append(append(b, byte(e.Proto)), e.Wire...)
+	_, err := bw.w.Write(b)
 	return err
 }
 
@@ -62,6 +71,7 @@ func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
 type BinaryReader struct {
 	r          *bufio.Reader
 	readHeader bool
+	lenBuf     [4]byte
 }
 
 // NewBinaryReader wraps r.
@@ -81,12 +91,11 @@ func (br *BinaryReader) Read() (*Event, error) {
 		}
 		br.readHeader = true
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br.r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(br.r, br.lenBuf[:]); err != nil {
 		return nil, err // io.EOF on clean end
 	}
-	total := int(binary.BigEndian.Uint32(lenBuf[:]))
-	if total < binRecordFixed || total > binRecordFixed+65535 {
+	total := int(binary.BigEndian.Uint32(br.lenBuf[:]))
+	if total < binRecordFixed || total > binRecordFixed+dnsmsg.MaxMsgSize {
 		return nil, fmt.Errorf("trace: bad record length %d", total)
 	}
 	buf := make([]byte, total)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -92,5 +93,40 @@ func TestSlabWireIsolated(t *testing.T) {
 		if len(w) != len(orig[i])+4 || string(w[2:len(orig[i])]) != string(orig[i][2:]) {
 			t.Fatalf("event %d: mutated wire %x from %x", i, w, orig[i])
 		}
+	}
+}
+
+// TestModelWireMatchesReferencePack: every generated query is byte for
+// byte the reference Pack of the message it decodes to, so the direct
+// encoder writes what the codec would. The first model is the one the
+// benchmark's B-Root workloads replay; mixed-case TLDs pin lowercasing.
+func TestModelWireMatchesReferencePack(t *testing.T) {
+	for _, cfg := range []BRootConfig{
+		{Duration: 18 * time.Second, MedianRate: 20000, Clients: 2000, Seed: 1},
+		{Duration: 2 * time.Second, MedianRate: 2000, Clients: 100, Seed: 3, TLDs: []string{"COM", "Org"}},
+	} {
+		for i, e := range BRootModel(cfg).Events {
+			var m dnsmsg.Msg
+			if err := m.Unpack(e.Wire); err != nil {
+				t.Fatalf("TLDs %v event %d: %v", cfg.TLDs, i, err)
+			}
+			want, err := m.Pack()
+			if err != nil {
+				t.Fatalf("TLDs %v event %d: reference Pack: %v", cfg.TLDs, i, err)
+			}
+			if !bytes.Equal(e.Wire, want) {
+				t.Fatalf("TLDs %v event %d (%s):\n got %x\nwant %x", cfg.TLDs, i, m.Question[0].Name, e.Wire, want)
+			}
+		}
+	}
+}
+
+// TestBRootModelAllocs: generation allocates per slab and per chunk,
+// not per event.
+func TestBRootModelAllocs(t *testing.T) {
+	cfg := BRootConfig{Duration: 4 * time.Second, MedianRate: 20000, Clients: 2000, Seed: 1}
+	events := len(BRootModel(cfg).Events)
+	if a := testing.AllocsPerRun(1, func() { BRootModel(cfg) }) / float64(events); a > 0.01 {
+		t.Errorf("BRootModel: %.4f allocs per event (%d events), want at most 0.01", a, events)
 	}
 }

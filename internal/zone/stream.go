@@ -556,8 +556,8 @@ func (sp *StreamParser) ensureArena(n int) {
 // canonName expands and canonicalizes a name token into the arena,
 // replicating the reference's p.name() + dnsmsg.ParseName: @ means the
 // origin, a trailing dot is absolute, anything else is joined with the
-// origin; the result is ASCII-lowercased and validated against label
-// and name length limits with the same error precedence.
+// origin; the result is ASCII-lowercased and validated by
+// dnsmsg.CheckName, which holds ParseName's rules and error precedence.
 func (sp *StreamParser) canonName(t tokRef) ([]byte, error) {
 	b := sp.tokBytes(t)
 	if t.quoted || !masterFileSafeBytes(b) {
@@ -584,36 +584,14 @@ func (sp *StreamParser) canonName(t tokRef) ([]byte, error) {
 		}
 	}
 	name := sp.arena[start:]
-	// ParseName: lowercase A-Z, then validate labels and total length.
 	for i, c := range name {
 		if c >= 'A' && c <= 'Z' {
 			name[i] = c + 'a' - 'A'
 		}
 	}
-	if len(name) == 1 { // name is "." (root): no label validation
-		return name, nil
-	}
-	lab := 0
-	for _, c := range name {
-		if c != '.' {
-			lab++
-			continue
-		}
-		if lab == 0 {
-			sp.arena = sp.arena[:start]
-			return nil, dnsmsg.ErrBadName
-		}
-		if lab > dnsmsg.MaxLabelLen {
-			sp.arena = sp.arena[:start]
-			return nil, dnsmsg.ErrLabelTooLong
-		}
-		lab = 0
-	}
-	// name always ends with '.', so every byte is in some dot-terminated
-	// label and the wire length is len(name)+1.
-	if len(name)+1 > dnsmsg.MaxNameLen {
+	if err := dnsmsg.CheckName(name); err != nil {
 		sp.arena = sp.arena[:start]
-		return nil, dnsmsg.ErrNameTooLong
+		return nil, err
 	}
 	return name, nil
 }
