@@ -321,26 +321,32 @@ func TestMsgRepackStableProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkMsgPack(b *testing.B) {
+// sampleWire is sampleMsg's wire form.
+func sampleWire(tb testing.TB) []byte {
+	tb.Helper()
+	wire, err := sampleMsg().Pack()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wire
+}
+
+// packOp packs sampleMsg afresh on each call.
+func packOp(testing.TB) func() error {
 	m := sampleMsg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Pack(); err != nil {
-			b.Fatal(err)
-		}
+	return func() error {
+		_, err := m.Pack()
+		return err
 	}
 }
 
-func BenchmarkMsgUnpack(b *testing.B) {
-	wire, err := sampleMsg().Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkMsgPack(b *testing.B) { benchOp(b, packOp(b)) }
+
+// unpackOp decodes sampleMsg's wire form into one reused Msg.
+func unpackOp(tb testing.TB) func() error {
+	wire := sampleWire(tb)
 	var m Msg
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := m.Unpack(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return func() error { return m.Unpack(wire) }
 }
+
+func BenchmarkMsgUnpack(b *testing.B) { benchOp(b, unpackOp(b)) }

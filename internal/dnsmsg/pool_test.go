@@ -224,45 +224,39 @@ func TestSetReplyReusesQuestion(t *testing.T) {
 	}
 }
 
-// BenchmarkMsgUnpackPooled is the arena counterpart of
-// BenchmarkMsgUnpack: same wire, one pooled message reused across
-// iterations. The gate (ldp-benchdiff) holds this at ≤ a handful of
-// allocs/op; in practice it is zero once the arena is warm.
-func BenchmarkMsgUnpackPooled(b *testing.B) {
-	wire, err := sampleMsg().Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
+// pooledMsg takes a message from the pool for the rest of the test or
+// benchmark and decodes sampleMsg's wire form into it, so its arena is
+// warm.
+func pooledMsg(tb testing.TB) (*Msg, []byte) {
+	tb.Helper()
+	wire := sampleWire(tb)
 	m := GetMsg()
-	defer PutMsg(m)
+	tb.Cleanup(func() { PutMsg(m) })
 	if err := m.UnpackBuffer(wire); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := m.UnpackBuffer(wire); err != nil {
-			b.Fatal(err)
-		}
+	return m, wire
+}
+
+// unpackPooledOp is the arena counterpart of unpackOp: the same wire,
+// decoded into one pooled message reused across calls. TestAllocBounds
+// holds it at zero allocs/op.
+func unpackPooledOp(tb testing.TB) func() error {
+	m, wire := pooledMsg(tb)
+	return func() error { return m.UnpackBuffer(wire) }
+}
+
+func BenchmarkMsgUnpackPooled(b *testing.B) { benchOp(b, unpackPooledOp(b)) }
+
+// packBufferOp packs a pooled decoded message into a reused output
+// buffer — the serve path's encode step.
+func packBufferOp(tb testing.TB) func() error {
+	m, _ := pooledMsg(tb)
+	out := make([]byte, 0, MaxUDPSize)
+	return func() (err error) {
+		out, err = m.PackBuffer(out[:0])
+		return err
 	}
 }
 
-// BenchmarkMsgPackBuffer packs a pooled decoded message into a reused
-// output buffer — the serve path's encode step.
-func BenchmarkMsgPackBuffer(b *testing.B) {
-	wire, err := sampleMsg().Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := GetMsg()
-	defer PutMsg(m)
-	if err := m.UnpackBuffer(wire); err != nil {
-		b.Fatal(err)
-	}
-	out := make([]byte, 0, MaxUDPSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if out, err = m.PackBuffer(out[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkMsgPackBuffer(b *testing.B) { benchOp(b, packBufferOp(b)) }

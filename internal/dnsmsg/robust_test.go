@@ -66,26 +66,29 @@ func TestUnpackTruncations(t *testing.T) {
 	}
 }
 
-func BenchmarkUnpackName(b *testing.B) {
+// unpackNameOp decodes a six-label uncompressed name.
+func unpackNameOp(tb testing.TB) func() error {
 	buf, err := appendName(nil, "a.long.chain.of.labels.example.com.", nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := unpackName(buf, 0); err != nil {
-			b.Fatal(err)
-		}
+	return func() error {
+		_, _, err := unpackName(buf, 0)
+		return err
 	}
 }
 
-func BenchmarkAppendNameCompressed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+func BenchmarkUnpackName(b *testing.B) { benchOp(b, unpackNameOp(b)) }
+
+// appendNameCompressedOp encodes two names that share a suffix through
+// a fresh compression map.
+func appendNameCompressedOp(testing.TB) func() error {
+	return func() error {
 		cmap := make(map[Name]int, 4)
 		buf, _ := appendName(nil, "www.example.com.", cmap)
-		if _, err := appendName(buf, "mail.example.com.", cmap); err != nil {
-			b.Fatal(err)
-		}
+		_, err := appendName(buf, "mail.example.com.", cmap)
+		return err
 	}
 }
+
+func BenchmarkAppendNameCompressed(b *testing.B) { benchOp(b, appendNameCompressedOp(b)) }

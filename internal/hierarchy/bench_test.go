@@ -13,7 +13,7 @@ import (
 // benchEmulation is the emulation at the paper's size (10 TLDs × 200
 // SLDs = 2011 zones, one split-horizon view each) with www under every
 // SLD to resolve.
-func benchEmulation(b *testing.B, cfg Config) (*Emulation, []dnsmsg.Name) {
+func benchEmulation(b testing.TB, cfg Config) (*Emulation, []dnsmsg.Name) {
 	h, err := zonegen.Generate(zonegen.Config{SLDsPerTLD: 200, HostsPerSLD: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -29,7 +29,7 @@ func benchEmulation(b *testing.B, cfg Config) (*Emulation, []dnsmsg.Name) {
 	return em, names
 }
 
-func benchResolve(b *testing.B, em *Emulation, name dnsmsg.Name) {
+func benchResolve(b testing.TB, em *Emulation, name dnsmsg.Name) {
 	m, err := em.Resolve(context.Background(), name, dnsmsg.TypeA)
 	if err != nil || m.Rcode != dnsmsg.RcodeSuccess {
 		b.Fatalf("%s: rcode=%v err=%v", name, m.Rcode, err)

@@ -9,13 +9,9 @@ import (
 	"ldplayer/internal/workload"
 )
 
-// BenchmarkRunCluster replays a B-Root-model all-TCP trace through a
-// 4-site anycast cluster per iteration. It sits under the ldp-benchdiff
-// allocs/op gate: the cluster engine schedules queries with one
-// pre-bound handler + AtArg, so allocations must stay proportional to
-// trace size (events + connection state), not to site count or to
-// per-query scheduling.
-func BenchmarkRunCluster(b *testing.B) {
+// benchCluster is the run BenchmarkRunCluster repeats: a B-Root-model
+// all-TCP trace through a 4-site anycast cluster.
+func benchCluster(tb testing.TB) (*trace.Trace, RunClusterConfig) {
 	tr := workload.BRootModel(workload.BRootConfig{
 		Duration:   60 * time.Second,
 		MedianRate: 150,
@@ -24,15 +20,24 @@ func BenchmarkRunCluster(b *testing.B) {
 	})
 	allTCP, err := mutate.Apply(tr, mutate.ForceProtocol(trace.TCP))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cfg := RunClusterConfig{
+	return allTCP, RunClusterConfig{
 		ClusterConfig: ClusterConfig{
 			Sites: 4,
 			Route: UniformCatchment(4, 7),
 		},
 		SampleEvery: 10 * time.Second,
 	}
+}
+
+// BenchmarkRunCluster replays benchCluster's trace once per iteration.
+// The cluster engine schedules queries with one pre-bound handler +
+// AtArg, so allocations must stay proportional to trace size (events +
+// connection state), not to site count or to per-query scheduling;
+// TestAllocBounds holds that bound.
+func BenchmarkRunCluster(b *testing.B) {
+	allTCP, cfg := benchCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

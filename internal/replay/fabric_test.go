@@ -11,8 +11,8 @@ import (
 	"ldplayer/internal/transport"
 )
 
-// echoFabric is the kernel-free packet fabric behind the gated
-// benchmark pair. It charges both planes one hand-off per
+// echoFabric is the kernel-free packet fabric behind TestReplaySpeedup
+// and its benchmark pair. It charges both planes one hand-off per
 // syscall-equivalent — a channel operation per dialed-endpoint Send
 // (the per-packet plane) or per datagram batch (the sendmmsg-shaped
 // plane) — and reflects every query as a response with the QR bit set.

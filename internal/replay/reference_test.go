@@ -17,10 +17,10 @@ import (
 // queriers, one channel operation per query, one time.NewTimer
 // per Timed wait, per-query transport.Conn sends, results recorded
 // under a mutex, drain by 5 ms polling. It lives in a test file: no
-// binary can select it, but the speedup gate in `make bench-check`
-// measures the batched plane against it in the same run on the same
-// hardware, and TestBatchedMatchesReference asserts the two planes
-// produce equivalent replays.
+// binary can select it, but TestReplaySpeedup measures the batched
+// plane against it in the same run on the same hardware, and
+// TestBatchedMatchesReference asserts the two planes produce
+// equivalent replays.
 
 // runPlane replays input through the batched plane or, with reference
 // set, through runReference behind the same report assembly.

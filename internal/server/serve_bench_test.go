@@ -1,4 +1,4 @@
-package server_test
+package server
 
 // The serve benchmarks measure the full UDP pipeline — kernel socket,
 // batched reads, shard dispatch, answer cache, batched writes — driven
@@ -6,8 +6,7 @@ package server_test
 // ldp-loadgen runs), and report achieved qps and qps per schedulable
 // core. Sharded vs single-pipeline is the tentpole comparison: on a
 // multi-core host the sharded figure should scale with GOMAXPROCS while
-// single-pipeline stays flat. They live in package server_test because
-// the replay engine's own tests import the server.
+// single-pipeline stays flat.
 
 import (
 	"context"
@@ -18,24 +17,13 @@ import (
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/obs"
 	"ldplayer/internal/replay"
-	"ldplayer/internal/server"
 	"ldplayer/internal/transport"
-	"ldplayer/internal/zone"
 )
-
-const benchZone = `
-$ORIGIN example.com.
-$TTL 3600
-@ IN SOA ns1 admin 1 7200 3600 1209600 300
-@ IN NS ns1
-ns1 IN A 192.0.2.53
-www IN A 192.0.2.80
-`
 
 // benchQueries is a small cycled set so the answer cache serves the
 // steady state — the paper's repeat-heavy authoritative traffic shape.
-func benchQueries(b *testing.B) [][]byte {
-	b.Helper()
+func benchQueries(tb testing.TB) [][]byte {
+	tb.Helper()
 	names := []dnsmsg.Name{"www.example.com.", "ns1.example.com.", "example.com."}
 	var qs [][]byte
 	for _, n := range names {
@@ -43,25 +31,24 @@ func benchQueries(b *testing.B) [][]byte {
 		m.SetQuestion(n, dnsmsg.TypeA)
 		wire, err := m.Pack()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		qs = append(qs, wire)
 	}
 	return qs
 }
 
-func benchServeUDP(b *testing.B, shards int) {
-	z, err := zone.ParseString(benchZone, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(server.Config{UDPWorkers: shards})
-	if err := srv.AddZone(z); err != nil {
-		b.Fatal(err)
+// serveUDPRig starts a server on shards SO_REUSEPORT sockets, stopped
+// at tb's cleanup, and returns a function that sends n queries
+// through the replay engine and checks that every one was answered.
+func serveUDPRig(tb testing.TB, shards int) func(tb testing.TB, n int) {
+	srv := New(Config{UDPWorkers: shards})
+	if err := srv.AddZone(mustParse(tb, exampleComZone)); err != nil {
+		tb.Fatal(err)
 	}
 	conns, addr, err := transport.ListenUDPReusePort("127.0.0.1:0", shards)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -69,13 +56,13 @@ func benchServeUDP(b *testing.B, shards int) {
 		defer close(done)
 		srv.ServeUDPShards(ctx, conns) //ldp:nolint errcheck — benchmark server; exit races the drain below
 	}()
-	defer func() {
+	tb.Cleanup(func() {
 		cancel()
 		<-done
 		for _, c := range conns {
 			c.Close()
 		}
-	}()
+	})
 
 	reg := obs.NewRegistry()
 	eng, err := replay.New(replay.Config{
@@ -87,22 +74,31 @@ func benchServeUDP(b *testing.B, shards int) {
 		Obs:                    reg,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// 64 outstanding: enough to keep every shard's read batches filled
-	// (the figure is the service rate, not a round trip's latency), well
-	// under the ~270 small datagrams a default receive buffer holds.
-	src := replay.NewWindowSource(benchQueries(b), 64, reg, 5*time.Second, b.N, 0)
+	queries := benchQueries(tb)
+	return func(tb testing.TB, n int) {
+		// 64 outstanding: enough to keep every shard's read batches
+		// filled (the figure is the service rate, not a round trip's
+		// latency), well under the ~270 small datagrams a default
+		// receive buffer holds.
+		src := replay.NewWindowSource(queries, 64, reg, 5*time.Second, n, 0)
+		rep, err := eng.Run(ctx, src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.Responses != uint64(n) {
+			tb.Fatalf("lost queries on loopback: sent=%d received=%d timeouts=%d", rep.Sent, rep.Responses, rep.Timeouts)
+		}
+	}
+}
+
+func benchServeUDP(b *testing.B, shards int) {
+	run := serveUDPRig(b, shards)
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep, err := eng.Run(ctx, src)
+	run(b, b.N)
 	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Responses != uint64(b.N) {
-		b.Fatalf("lost queries on loopback: sent=%d received=%d timeouts=%d", rep.Sent, rep.Responses, rep.Timeouts)
-	}
 	qps := float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(qps, "qps")
 	b.ReportMetric(qps/float64(runtime.GOMAXPROCS(0)), "qps/core")

@@ -120,18 +120,25 @@ func viewName(v *View) string {
 	return v.Name
 }
 
+// viewServer is a server with n views of one exact address each, the
+// meta-server's shape, and those addresses.
+func viewServer(n int) (*Server, []netip.Addr) {
+	s := New(Config{})
+	addrs := make([]netip.Addr, n)
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		s.AddView(NewView(fmt.Sprint(i), []netip.Addr{addrs[i]}, nil))
+	}
+	return s, addrs
+}
+
 // BenchmarkViewFor selects among one exact-address view per zone, the
 // meta-server's shape, at the paper's hierarchy size and ten times it.
 // The cost should be flat in the view count.
 func BenchmarkViewFor(b *testing.B) {
 	for _, n := range []int{2011, 20110} {
 		b.Run(fmt.Sprintf("views=%d", n), func(b *testing.B) {
-			s := New(Config{})
-			addrs := make([]netip.Addr, n)
-			for i := range addrs {
-				addrs[i] = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-				s.AddView(NewView(fmt.Sprint(i), []netip.Addr{addrs[i]}, nil))
-			}
+			s, addrs := viewServer(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
