@@ -51,8 +51,9 @@ bench-selftest:
 check: build vet fmt-check lint test race bench-selftest
 
 # Short fuzz pass over the wire-format decoders (plus the differential
-# targets: pooled-vs-reference decode, and the direct query encoder
-# against SetQuestion + SetEDNS + Pack); CI runs this on every push. Crash
+# targets: pooled-vs-reference decode, the direct query encoder against
+# SetQuestion + SetEDNS + Pack, and the in-place canonical name order
+# against split labels); CI runs this on every push. Crash
 # inputs land in <pkg>/testdata/fuzz/ — commit them so they become
 # permanent regression seeds.
 fuzz-smoke:
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpackPooledEquivalence -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz=FuzzNameUnpack -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz=FuzzAppendQuery -fuzztime=$(FUZZTIME) ./internal/dnsmsg
+	$(GO) test -fuzz=FuzzCanonicalCompare -fuzztime=$(FUZZTIME) ./internal/dnsmsg
 	$(GO) test -fuzz='^FuzzZoneParse$$' -fuzztime=$(FUZZTIME) ./internal/zone
 	$(GO) test -fuzz=FuzzZoneParseDifferential -fuzztime=$(FUZZTIME) ./internal/zone
 	$(GO) test -fuzz='^FuzzPCAPRead$$' -fuzztime=$(FUZZTIME) ./internal/pcap

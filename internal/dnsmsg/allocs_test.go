@@ -34,6 +34,7 @@ func TestAllocBounds(t *testing.T) {
 		{"BenchmarkMsgPackBuffer", 0, packBufferOp},
 		{"BenchmarkUnpackName", 4, unpackNameOp},
 		{"BenchmarkAppendNameCompressed", 3, appendNameCompressedOp},
+		{"BenchmarkCanonicalCompare", 0, canonicalCompareOp},
 	} {
 		t.Run(r.bench, func(t *testing.T) {
 			op := r.op(t)

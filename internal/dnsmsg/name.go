@@ -2,6 +2,7 @@ package dnsmsg
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"strings"
 )
@@ -109,15 +110,6 @@ func (n Name) String() string { return string(n) }
 
 // IsRoot reports whether n is the DNS root.
 func (n Name) IsRoot() bool { return n == Root }
-
-// Labels splits the name into labels, excluding the empty root label.
-// Labels(".") is nil; Labels("a.b.") is ["a","b"].
-func (n Name) Labels() []string {
-	if n.IsRoot() || n == "" {
-		return nil
-	}
-	return strings.Split(strings.TrimSuffix(string(n), "."), ".")
-}
 
 // LabelCount returns the number of labels (root = 0).
 func (n Name) LabelCount() int {
@@ -275,15 +267,38 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 	}
 }
 
-// CanonicalLess compares two names in DNSSEC canonical ordering
-// (RFC 4034 §6.1): by reversed label sequence, case-insensitively.
-func CanonicalLess(a, b Name) bool {
-	al, bl := a.Labels(), b.Labels()
-	for i := 1; i <= len(al) && i <= len(bl); i++ {
-		x, y := al[len(al)-i], bl[len(bl)-i]
-		if x != y {
-			return x < y
-		}
+// CanonicalCompare orders two names in DNSSEC canonical order
+// (RFC 4034 §6.1): label by label from the rightmost, so a name sorts
+// just before the names below it. It returns -1, 0 or +1, works on the
+// names in place and allocates nothing.
+//
+// Labels compare as plain bytes, which is the RFC's order for a Name:
+// a Name is lowercase by construction (ParseName and the wire decoder
+// fold case), so the case folding has nothing left to do, and no label
+// holds a dot (the wire decoder rejects one, and the master-file
+// parsers split on every dot), so each '.' is a label boundary. A label
+// sorts before its own extensions ("z" < "zabc"), as the RFC's absent
+// octet does, and a name sorts before the longer names that share all
+// its labels.
+func CanonicalCompare(a, b Name) int {
+	// Names in one zone share its origin, so first step back over the
+	// longest common byte suffix. Both names end in the root's dot, so
+	// the suffix holds one; the labels after its first dot are whole
+	// and equal on both sides, and drop with the trailing dot.
+	x, y := string(a), string(b)
+	i, j := len(x), len(y)
+	for i > 0 && j > 0 && x[i-1] == y[j-1] {
+		i, j = i-1, j-1
 	}
-	return len(al) < len(bl)
+	if k := strings.IndexByte(x[i:], '.'); k >= 0 {
+		x, y = x[:i+k], y[:j+k]
+	}
+	for x != "" && y != "" {
+		i, j := strings.LastIndexByte(x, '.'), strings.LastIndexByte(y, '.')
+		if c := strings.Compare(x[i+1:], y[j+1:]); c != 0 {
+			return c
+		}
+		x, y = x[:max(i, 0)], y[:max(j, 0)]
+	}
+	return cmp.Compare(len(x), len(y))
 }

@@ -1,6 +1,8 @@
 package dnsmsg
 
 import (
+	"cmp"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,11 +57,11 @@ func TestNameStructure(t *testing.T) {
 	if n.IsSubdomainOf("org.") {
 		t.Error("wrong suffix accepted")
 	}
-	labels := n.Labels()
-	if len(labels) != 3 || labels[0] != "www" || labels[2] != "com" {
-		t.Errorf("Labels=%v", labels)
+	ls := labels(n)
+	if len(ls) != 3 || ls[0] != "www" || ls[2] != "com" {
+		t.Errorf("labels=%v", ls)
 	}
-	if got := Root.Labels(); got != nil {
+	if got := labels(Root); got != nil {
 		t.Errorf("root labels=%v", got)
 	}
 }
@@ -165,9 +167,10 @@ func TestUnpackNamePointerLoop(t *testing.T) {
 	}
 }
 
-func TestCanonicalLess(t *testing.T) {
+func TestCanonicalCompare(t *testing.T) {
 	// RFC 4034 §6.1 example ordering.
 	ordered := []Name{
+		".",
 		"example.com.",
 		"a.example.com.",
 		"yljkjljk.a.example.com.",
@@ -176,17 +179,92 @@ func TestCanonicalLess(t *testing.T) {
 		"z.example.com.",
 	}
 	for i := 0; i+1 < len(ordered); i++ {
-		if !CanonicalLess(ordered[i], ordered[i+1]) {
-			t.Errorf("want %q < %q", ordered[i], ordered[i+1])
+		if c := CanonicalCompare(ordered[i], ordered[i+1]); c != -1 {
+			t.Errorf("CanonicalCompare(%q, %q) = %d, want -1", ordered[i], ordered[i+1], c)
 		}
-		if CanonicalLess(ordered[i+1], ordered[i]) {
-			t.Errorf("want NOT %q < %q", ordered[i+1], ordered[i])
+		if c := CanonicalCompare(ordered[i+1], ordered[i]); c != 1 {
+			t.Errorf("CanonicalCompare(%q, %q) = %d, want 1", ordered[i+1], ordered[i], c)
 		}
 	}
-	if CanonicalLess("example.com.", "example.com.") {
-		t.Error("name less than itself")
+	if c := CanonicalCompare("example.com.", "example.com."); c != 0 {
+		t.Errorf("a name compares %d to itself", c)
 	}
 }
+
+// labels splits a name into labels, excluding the empty root label:
+// labels(".") is nil, labels("a.b.") is ["a","b"]. It is the oracle
+// FuzzCanonicalCompare holds CanonicalCompare to.
+func labels(n Name) []string {
+	if n.IsRoot() || n == "" {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(string(n), "."), ".")
+}
+
+// canonicalCompareRef is RFC 4034 §6.1 order over split labels, the
+// way CanonicalCompare's predecessor computed it.
+func canonicalCompareRef(a, b Name) int {
+	al, bl := labels(a), labels(b)
+	for i := 1; i <= len(al) && i <= len(bl); i++ {
+		if c := strings.Compare(al[len(al)-i], bl[len(bl)-i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(al), len(bl))
+}
+
+// FuzzCanonicalCompare holds CanonicalCompare to the split-label
+// reference on every pair of names ParseName accepts: the two agree in
+// sign, swapping the arguments negates the result, and the result is 0
+// only for equal names.
+func FuzzCanonicalCompare(f *testing.F) {
+	f.Add("example.com.", "a.example.com.")
+	f.Add("z.a.example.com", "zabc.a.example.com")
+	f.Add(".", "com.")
+	f.Add("a.b.c.", "b.c.")
+	f.Add("ab.com.", "b.com.")
+	f.Add("b.b.com.", "b.com.")
+	f.Add("A.Example.", "a.example.")
+	f.Add("\\.a.", "-.a.")
+	f.Add("\xff\x00.x.", "\x7f.x.")
+	f.Fuzz(func(t *testing.T, s1, s2 string) {
+		a, err := ParseName(s1)
+		if err != nil {
+			return
+		}
+		b, err := ParseName(s2)
+		if err != nil {
+			return
+		}
+		got := CanonicalCompare(a, b)
+		if want := canonicalCompareRef(a, b); got != want {
+			t.Fatalf("CanonicalCompare(%q, %q) = %d, reference %d", a, b, got, want)
+		}
+		if back := CanonicalCompare(b, a); back != -got {
+			t.Fatalf("CanonicalCompare(%q, %q) = %d but swapped %d", a, b, got, back)
+		}
+		if (got == 0) != (a == b) {
+			t.Fatalf("CanonicalCompare(%q, %q) = %d", a, b, got)
+		}
+	})
+}
+
+// canonicalCompareOp compares each adjacent pair of a canonically
+// ordered name list, the comparisons a zone sort makes.
+func canonicalCompareOp(testing.TB) func() error {
+	names := []Name{".", "com.", "example.com.", "a.example.com.", "www.a.example.com.",
+		"zabc.a.example.com.", "ns1.example.net.", "b.root-servers.net.", "xn--p1ai."}
+	return func() error {
+		for i := 0; i+1 < len(names); i++ {
+			if CanonicalCompare(names[i], names[i+1]) >= 0 {
+				return fmt.Errorf("%q does not sort before %q", names[i], names[i+1])
+			}
+		}
+		return nil
+	}
+}
+
+func BenchmarkCanonicalCompare(b *testing.B) { benchOp(b, canonicalCompareOp(b)) }
 
 // TestNameRoundTripProperty: any name that ParseName accepts must survive
 // wire encode/decode unchanged.

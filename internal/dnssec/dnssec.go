@@ -15,6 +15,7 @@ import (
 	"io"
 	mrand "math/rand"
 	"sort"
+	"strings"
 
 	"ldplayer/internal/dnsmsg"
 	"ldplayer/internal/zone"
@@ -148,8 +149,7 @@ func (k *Key) SignRRSet(set *zone.RRSet, signer dnsmsg.Name, inception, expirati
 // a leading wildcard.
 func countSignLabels(n dnsmsg.Name) uint8 {
 	c := n.LabelCount()
-	labels := n.Labels()
-	if len(labels) > 0 && labels[0] == "*" {
+	if strings.HasPrefix(string(n), "*.") {
 		c--
 	}
 	return uint8(c)

@@ -23,11 +23,14 @@ func benchOp(b *testing.B, op func() error) {
 // and the most allocations per op, counted as testing.AllocsPerRun
 // counts them (truncated to a whole number, as -benchmem prints them).
 // A parse row's op is one parse of the whole input; a query row's op is
-// one z.Query on a name built beforehand. TestStreamParserZeroAlloc
-// holds BenchmarkZoneParseStreaming's bound of 0.
+// one z.Query on a name built beforehand; the write row's op writes
+// every zone of the hierarchy once, at most 2 allocations per record.
+// TestStreamParserZeroAlloc holds BenchmarkZoneParseStreaming's bound
+// of 0.
 func TestAllocBounds(t *testing.T) {
 	data, recs := benchZoneText(t)
 	z := buildBigZone(t, 10000)
+	hier := HierarchyZones(t)
 
 	for _, r := range []struct {
 		bench string
@@ -42,6 +45,7 @@ func TestAllocBounds(t *testing.T) {
 		{"BenchmarkQueryPositive", 1, 1000, queryOp(z, positiveNames(), ResultAnswer)},
 		{"BenchmarkQueryReferral", 2, 1000, queryOp(z, referralNames(), ResultReferral)},
 		{"BenchmarkQueryNXDomain", 2, 1000, queryOp(z, nxdomainNames(), ResultNXDomain)},
+		{"BenchmarkZoneWriteTo", 2 * float64(zoneRecords(hier)), 1, writeToOp(hier)},
 	} {
 		t.Run(r.bench, func(t *testing.T) {
 			got := testing.AllocsPerRun(r.runs, func() {

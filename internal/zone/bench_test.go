@@ -278,3 +278,38 @@ func BenchmarkQueryReferral(b *testing.B) {
 func BenchmarkQueryNXDomain(b *testing.B) {
 	benchOp(b, queryOp(buildBigZone(b, 10000), nxdomainNames(), ResultNXDomain))
 }
+
+// HierarchyZones returns the 2 011 zones of the rec-hierarchy workload:
+// zonegen.Generate with 200 SLDs per TLD, 8 hosts per SLD and seed 1.
+// zonegen imports this package, so writeto_test.go, in package
+// zone_test, sets it.
+var HierarchyZones func(testing.TB) []*Zone
+
+// writeToOp writes every zone of zs in master-file form on each call,
+// the text ldp-zoneconstruct and the benchmark's zone loading produce.
+func writeToOp(zs []*Zone) func() error {
+	return func() error {
+		for _, z := range zs {
+			if _, err := z.WriteTo(io.Discard); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// zoneRecords counts the records of zs.
+func zoneRecords(zs []*Zone) int {
+	n := 0
+	for _, z := range zs {
+		n += z.RecordCount()
+	}
+	return n
+}
+
+// BenchmarkZoneWriteTo writes the whole 2 011-zone hierarchy.
+func BenchmarkZoneWriteTo(b *testing.B) {
+	zs := HierarchyZones(b)
+	benchOp(b, writeToOp(zs))
+	reportRecs(b, zoneRecords(zs))
+}

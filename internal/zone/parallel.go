@@ -80,8 +80,14 @@ func parseParallel(data []byte, origin dnsmsg.Name, workers, chunkTarget int) (*
 			chunkTarget = 64 * 1024
 		}
 	}
-	chunks, tail := prescan(data, origin, chunkTarget)
-	if len(chunks) == 1 || workers == 1 {
+	// prescan opens a second chunk only past chunkTarget bytes, so an
+	// input that fits one chunk (every small zone) skips it.
+	var chunks []chunk
+	var tail prescanState
+	if len(data) > chunkTarget && workers > 1 {
+		chunks, tail = prescan(data, origin, chunkTarget)
+	}
+	if len(chunks) <= 1 {
 		// One chunk (or one worker): the streaming path as-is.
 		return buildZone(NewStreamParserBytes(data, origin))
 	}
@@ -158,13 +164,16 @@ func parseChunk(sp *StreamParser, data []byte, c chunk) chunkResult {
 	sp.zoneSet, sp.zoneOrig = c.zoneSet, c.zoneOrg
 	sp.line = c.line - 1
 	if c.ownerLen > 0 {
-		// Resolve the inherited owner with the reference name rules
-		// under the origin it appeared with. If it does not resolve,
-		// the chunk owning that record produces the authoritative
-		// error first; this chunk's records are then discarded.
-		ref := &parser{origin: c.ownerOrigin}
-		if owner, err := ref.name(string(data[c.ownerOff : c.ownerOff+c.ownerLen])); err == nil {
-			sp.lastOwner = append(sp.lastOwner[:0], owner...)
+		// Resolve the inherited owner (a bare token: the prescan skips
+		// quoted ones) with the parser's own name rule under the origin
+		// it appeared with. If it does not resolve, the chunk owning
+		// that record produces the authoritative error first; this
+		// chunk's records are then discarded.
+		owner := data[c.ownerOff : c.ownerOff+c.ownerLen]
+		if masterFileSafeBytes(owner) {
+			if name, err := sp.expandName(owner, c.ownerOrigin); err == nil {
+				sp.lastOwner = append(sp.lastOwner[:0], name...)
+			}
 		}
 	}
 	res := chunkResult{recs: make([]recLine, 0, c.recs)}

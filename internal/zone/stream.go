@@ -18,7 +18,7 @@ import (
 // steady state allocates nothing per record.
 //
 // The old bufio.Scanner parser is kept verbatim as parseReference (see
-// parse.go): it is the executable specification that
+// reference_test.go): it is the executable specification that
 // FuzzZoneParseDifferential proves this parser equivalent to, the same
 // way PR 4 proved the arena codec against the reference decoder. Every
 // quirk of the reference — the line-scoped quote rules, the "" blank
@@ -406,7 +406,11 @@ func (sp *StreamParser) classicTok(t tokRef) string {
 
 func (t tokRef) isMarker() bool { return t.n == 0 && !t.quoted }
 
-// masterFileSafeBytes is masterFileSafe over a byte slice.
+// masterFileSafeBytes reports whether a name token can be written back
+// to a zone file as a bare token. Whitespace, quotes, comment and
+// grouping characters would re-tokenize differently on reparse (a
+// quoted token can smuggle them in), so names carrying them are
+// rejected; so are control characters.
 func masterFileSafeBytes(tok []byte) bool {
 	for _, c := range tok {
 		if special[c] || c < 0x20 || c == 0x7f {
@@ -563,24 +567,30 @@ func (sp *StreamParser) canonName(t tokRef) ([]byte, error) {
 	if t.quoted || !masterFileSafeBytes(b) {
 		return nil, fmt.Errorf("name %q contains characters that cannot round-trip a master file", sp.classicTok(t))
 	}
+	return sp.expandName(b, sp.origin)
+}
+
+// expandName is canonName's rule past the token checks, for the
+// non-empty, master-file-safe name b under origin.
+func (sp *StreamParser) expandName(b []byte, origin dnsmsg.Name) ([]byte, error) {
 	if len(b) == 1 && b[0] == '@' {
-		if sp.origin == "" {
+		if origin == "" {
 			return nil, fmt.Errorf("@ with no origin")
 		}
 		start := len(sp.arena)
-		sp.arena = append(sp.arena, sp.origin...)
+		sp.arena = append(sp.arena, origin...)
 		return sp.arena[start:], nil
 	}
 	start := len(sp.arena)
 	absolute := b[len(b)-1] == '.'
-	if !absolute && sp.origin == "" {
+	if !absolute && origin == "" {
 		return nil, fmt.Errorf("relative name %q with no origin", string(b))
 	}
 	sp.arena = append(sp.arena, b...)
 	if !absolute {
 		sp.arena = append(sp.arena, '.')
-		if !sp.origin.IsRoot() {
-			sp.arena = append(sp.arena, sp.origin...)
+		if !origin.IsRoot() {
+			sp.arena = append(sp.arena, origin...)
 		}
 	}
 	name := sp.arena[start:]

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ldplayer/internal/dnsmsg"
 )
@@ -223,7 +222,7 @@ func (z *Zone) Names() []dnsmsg.Name {
 	for n := range z.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsmsg.CanonicalLess(out[i], out[j]) })
+	slices.SortFunc(out, dnsmsg.CanonicalCompare)
 	return out
 }
 
@@ -266,7 +265,7 @@ func (z *Zone) Cuts() []dnsmsg.Name {
 			out = append(out, name)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return dnsmsg.CanonicalLess(out[i], out[j]) })
+	slices.SortFunc(out, dnsmsg.CanonicalCompare)
 	return out
 }
 
