@@ -26,6 +26,7 @@ func TestAllocBounds(t *testing.T) {
 	resp := dnsmsg.GetMsg()
 	defer dnsmsg.PutMsg(resp)
 	send, _ := connSender(t)
+	writeSegmented := segmentedWriter(t)
 	// Fill the Conn's 1000-query pacing window first: the benchmark's
 	// figure is the steady state behind it.
 	sent := 0
@@ -55,6 +56,7 @@ func TestAllocBounds(t *testing.T) {
 			send(t, sent)
 			sent++
 		}},
+		{"BenchmarkUDPBatchWriteSegmented", 0, 1000, func(t *testing.T) { writeSegmented(t) }},
 		{"BenchmarkExchangeVNet", 25, 1000, func(t *testing.T) {
 			q.ID++
 			if _, err := vx.Exchange(ctx, vaddr, q); err != nil {

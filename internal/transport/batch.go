@@ -116,7 +116,9 @@ func (b *UDPBatch) ReadBatch(ms []Datagram) (int, error) {
 // reply, a vanished client) are skipped, not fatal: the datagram is
 // dropped exactly as a lone WriteTo error would be, and the rest of the
 // batch still goes out. Only socket-level failures (closed fd) return
-// an error.
+// an error. On Linux a run of datagrams of one length to one
+// destination leaves as one UDP_SEGMENT message, which every receiver
+// still reads as separate datagrams; the count is of datagrams.
 func (b *UDPBatch) WriteBatch(ms []Datagram) (int, error) {
 	if b.bc != nil {
 		return b.bc.WriteBatch(ms)

@@ -10,23 +10,50 @@ import (
 )
 
 // batchSys is the Linux recvmmsg/sendmmsg implementation behind
-// UDPBatch. All scratch (mmsghdr vectors, iovecs, sockaddr storage) is
-// sized to the largest batch seen and reused, so a warm shard's read
-// loop performs zero allocations per batch.
+// UDPBatch. All scratch (mmsghdr vectors, iovecs, sockaddr storage,
+// segment control messages) is sized to the largest batch seen and
+// reused, so a warm shard's loop performs zero allocations per batch.
 type batchSys struct {
 	raw syscall.RawConn
 
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrAny
+	segs  []segCmsg
+
+	// segment: writes send each run of equal datagrams as one
+	// UDP_SEGMENT message. Cleared for good when the kernel refuses one.
+	segment bool
 
 	// The poller callbacks are built once and pass operands and results
 	// through these fields: a closure per call escapes, and put three
 	// allocations on every batch.
 	recv, send func(fd uintptr) bool
-	from       int // send: first header still to go
+	from, msgs int // send: first header still to go, headers in use
 	n          int
 	errno      syscall.Errno
+}
+
+// UDP segmentation offload (UDP_SEGMENT, Linux 4.18): one sendmmsg
+// message carries a run of datagrams back to back, and a control
+// message tells the kernel the segment size to cut it back into. A
+// run is consecutive datagrams to one destination, all of one length.
+const (
+	udpSegment = 103 // UDP_SEGMENT, at level IPPROTO_UDP
+	// segMaxLen is the longest datagram sent as a segment: the IPv6
+	// minimum MTU less the IPv6 and UDP headers, so no path MTU that
+	// IPv6 allows makes the kernel refuse a segment.
+	segMaxLen   = 1232
+	segMaxCount = 64    // UDP_MAX_SEGMENTS in the kernels that brought UDP_SEGMENT
+	segMaxBytes = 65000 // the run must fit one UDP payload
+)
+
+// segCmsg is one UDP_SEGMENT control message, padded to
+// CMSG_SPACE(sizeof(uint16)) on 64-bit targets.
+type segCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
 }
 
 // mmsghdr mirrors struct mmsghdr: one msghdr plus the per-message byte
@@ -50,6 +77,14 @@ func newBatchSys(pc net.PacketConn) *batchSys {
 		return nil
 	}
 	b := &batchSys{raw: raw}
+	// A kernel that knows UDP_SEGMENT answers getsockopt for it; an
+	// older one would ignore the control message and send each run as
+	// one long datagram.
+	//ldp:nolint errcheck — a failed Control leaves segment unset: the unsegmented path
+	_ = raw.Control(func(fd uintptr) {
+		_, err := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+		b.segment = err == nil
+	})
 	b.recv = func(fd uintptr) bool {
 		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(len(b.hdrs)),
@@ -62,7 +97,7 @@ func newBatchSys(pc net.PacketConn) *batchSys {
 	}
 	b.send = func(fd uintptr) bool {
 		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&b.hdrs[b.from])), uintptr(len(b.hdrs)-b.from),
+			uintptr(unsafe.Pointer(&b.hdrs[b.from])), uintptr(b.msgs-b.from),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN || e == syscall.EINTR {
 			return false
@@ -79,6 +114,7 @@ func (b *batchSys) grow(n int) {
 		b.hdrs = make([]mmsghdr, n)
 		b.iovs = make([]syscall.Iovec, n)
 		b.names = make([]syscall.RawSockaddrAny, n)
+		b.segs = make([]segCmsg, n)
 	}
 	b.hdrs = b.hdrs[:n]
 	b.iovs = b.iovs[:n]
@@ -111,36 +147,82 @@ func (b *batchSys) readBatch(ms []Datagram) (int, error) {
 	return b.n, nil
 }
 
+// writeBatch sends ms in as few sendmmsg calls as the kernel takes,
+// each run of equal datagrams as one segmented message, and returns how
+// many datagrams the kernel accepted.
 func (b *batchSys) writeBatch(ms []Datagram) (int, error) {
 	b.grow(len(ms))
 	for i := range ms {
 		b.iovs[i].Base = &ms[i].Buf[0]
 		b.iovs[i].SetLen(len(ms[i].Buf))
-		nameLen := addrPortToSockaddr(&b.names[i], ms[i].Addr)
-		b.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&b.names[i])),
-			Namelen: nameLen,
-			Iov:     &b.iovs[i],
-			Iovlen:  1,
-		}}
 	}
-	skipped := 0
-	for b.from = 0; b.from < len(ms); {
+	b.msgs = b.pack(ms, 0, 0, b.segment)
+	next, skipped := 0, 0 // first datagram of hdrs[b.from]; datagrams refused
+	for b.from = 0; b.from < b.msgs; {
 		if err := b.raw.Write(b.send); err != nil {
-			return b.from - skipped, err // closed socket; shutdown handles it
+			return next - skipped, err // closed socket; shutdown handles it
 		}
-		if b.errno != 0 {
-			// A per-datagram failure (async ICMP error, unreachable
-			// client, oversized datagram) poisons only the head of the
-			// remaining vector: skip that one datagram, count it as not
-			// sent, and keep sending the rest.
-			b.from++
-			skipped++
+		if b.errno == 0 {
+			for _, h := range b.hdrs[b.from : b.from+b.n] {
+				next += int(h.hdr.Iovlen)
+			}
+			b.from += b.n
 			continue
 		}
-		b.from += b.n
+		if b.hdrs[b.from].hdr.Iovlen > 1 {
+			// The kernel refused a segmented message. Send the rest of
+			// the batch one datagram per message; if the refusal is of
+			// segmentation itself (no checksum, IPsec, a path MTU below
+			// the segment), segment no more on this socket.
+			if b.errno == syscall.EINVAL || b.errno == syscall.EIO {
+				b.segment = false
+			}
+			b.msgs = b.pack(ms, b.from, next, false)
+			continue
+		}
+		// A per-datagram failure (async ICMP error, unreachable client,
+		// oversized datagram) poisons only the head of the remaining
+		// vector: skip that one datagram, count it as not sent, and
+		// keep sending the rest.
+		b.from++
+		next++
+		skipped++
 	}
-	return b.from - skipped, nil
+	return next - skipped, nil
+}
+
+// pack fills headers from hdrs[k] on for the datagrams ms[i:] and
+// returns the header count. With seg set, each run (see udpSegment) of
+// up to segMaxCount datagrams of at most segMaxLen bytes, segMaxBytes
+// in all, shares one header whose iovecs are the run's buffers.
+func (b *batchSys) pack(ms []Datagram, k, i int, seg bool) int {
+	for ; i < len(ms); k++ {
+		d := &ms[i]
+		size, n := len(d.Buf), 1
+		if seg && size <= segMaxLen {
+			for i+n < len(ms) && n < segMaxCount && (n+1)*size <= segMaxBytes &&
+				len(ms[i+n].Buf) == size && ms[i+n].Addr == d.Addr {
+				n++
+			}
+		}
+		h := syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&b.names[k])),
+			Namelen: addrPortToSockaddr(&b.names[k], d.Addr),
+			Iov:     &b.iovs[i],
+			Iovlen:  uint64(n),
+		}
+		if n > 1 {
+			c := &b.segs[k]
+			c.hdr = syscall.Cmsghdr{Level: syscall.IPPROTO_UDP, Type: udpSegment}
+			c.hdr.SetLen(syscall.CmsgLen(2))
+			c.size = uint16(size)
+			h.Control = (*byte)(unsafe.Pointer(c))
+			h.SetControllen(syscall.CmsgSpace(2))
+		}
+		b.hdrs[k] = mmsghdr{hdr: h}
+		i += n
+	}
+	return k
 }
 
 // sockaddrToAddrPort decodes the kernel-filled source address.

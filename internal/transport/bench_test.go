@@ -158,3 +158,52 @@ func BenchmarkExchangeVNet(b *testing.B) {
 		}
 	}
 }
+
+// segmentedWriter is BenchmarkUDPBatchWriteSegmented's op: one
+// WriteBatch of BatchLen equal-size datagrams to one loopback sink,
+// which a goroutine drains until tb's cleanup. On Linux the batch is
+// one run, so one sendmmsg message carries it.
+func segmentedWriter(tb testing.TB) func(tb testing.TB) {
+	snd, _, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { snd.Close() })
+	sink, dst, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rb, ms := transport.NewUDPBatch(sink), *transport.GetBatch()
+		for {
+			if _, err := rb.ReadBatch(ms); err != nil {
+				return // closed at cleanup
+			}
+		}
+	}()
+	tb.Cleanup(func() { sink.Close(); <-done })
+	wb := transport.NewUDPBatch(snd)
+	ms := make([]transport.Datagram, transport.BatchLen)
+	for i := range ms {
+		ms[i] = transport.Datagram{Buf: make([]byte, 64), Addr: dst}
+	}
+	return func(tb testing.TB) {
+		if n, err := wb.WriteBatch(ms); err != nil || n != len(ms) {
+			tb.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(ms))
+		}
+	}
+}
+
+// BenchmarkUDPBatchWriteSegmented measures one batch of equal replies to
+// one client, the shape a hot answer cache writes; ns/op covers
+// BatchLen datagrams.
+func BenchmarkUDPBatchWriteSegmented(b *testing.B) {
+	write := segmentedWriter(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(b)
+	}
+}
