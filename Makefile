@@ -52,8 +52,9 @@ check: build vet fmt-check lint test race bench-selftest
 
 # Short fuzz pass over the wire-format decoders (plus the differential
 # targets: pooled-vs-reference decode, the direct query encoder against
-# SetQuestion + SetEDNS + Pack, and the in-place canonical name order
-# against split labels); CI runs this on every push. Crash
+# SetQuestion + SetEDNS + Pack, the in-place canonical name order
+# against split labels, and the UDP_GRO message split against a naive
+# cut); CI runs this on every push. Crash
 # inputs land in <pkg>/testdata/fuzz/ — commit them so they become
 # permanent regression seeds.
 fuzz-smoke:
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoneParseDifferential -fuzztime=$(FUZZTIME) ./internal/zone
 	$(GO) test -fuzz='^FuzzPCAPRead$$' -fuzztime=$(FUZZTIME) ./internal/pcap
 	$(GO) test -fuzz=FuzzPCAPReadZeroCopy -fuzztime=$(FUZZTIME) ./internal/pcap
+	$(GO) test -fuzz=FuzzSplitCoalesced -fuzztime=$(FUZZTIME) ./internal/transport
 
 # The hot-path regression tests alone: each hot-path package's
 # TestAllocBounds (allocs/op bounds, one row per benchmark it holds;

@@ -27,6 +27,7 @@ func TestAllocBounds(t *testing.T) {
 	defer dnsmsg.PutMsg(resp)
 	send, _ := connSender(t)
 	writeSegmented := segmentedWriter(t)
+	readCoalesced := coalescedReader(t)
 	// Fill the Conn's 1000-query pacing window first: the benchmark's
 	// figure is the steady state behind it.
 	sent := 0
@@ -57,6 +58,7 @@ func TestAllocBounds(t *testing.T) {
 			sent++
 		}},
 		{"BenchmarkUDPBatchWriteSegmented", 0, 1000, func(t *testing.T) { writeSegmented(t) }},
+		{"BenchmarkUDPBatchReadCoalesced", 0, 1000, func(t *testing.T) { readCoalesced(t) }},
 		{"BenchmarkExchangeVNet", 25, 1000, func(t *testing.T) {
 			q.ID++
 			if _, err := vx.Exchange(ctx, vaddr, q); err != nil {

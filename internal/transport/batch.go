@@ -27,7 +27,8 @@ type Datagram struct {
 // A UDPBatch is owned by one goroutine (its serving shard): the batch
 // headers and sockaddr scratch are reused across calls without locking.
 // Multiple UDPBatch instances over the same socket are fine — the
-// kernel serializes datagram delivery per fd.
+// kernel serializes datagram delivery per fd, and a run received whole
+// goes to the instance that received it.
 type UDPBatch struct {
 	pc  net.PacketConn
 	bc  BatchConn // non-nil when pc moves batches natively
@@ -87,10 +88,15 @@ func NewUDPBatch(pc net.PacketConn) *UDPBatch {
 func (b *UDPBatch) Batched() bool { return b.sys != nil || b.bc != nil }
 
 // ReadBatch blocks until at least one datagram is available and fills
-// as many of ms as one syscall yields, returning the count. Each ms[i]
-// must carry a Buf with room for a full message. Deadline expiry on the
-// underlying socket surfaces as a net.Error with Timeout()==true, same
-// as ReadFrom.
+// as many of ms as one syscall yields, one datagram per slot, returning
+// the count. Each ms[i] must carry a Buf with room for a full message.
+// Deadline expiry on the underlying socket surfaces as a net.Error with
+// Timeout()==true, same as ReadFrom. On Linux the first ReadBatch turns
+// on UDP_GRO: a run that left its sender as one segmented message is
+// received as one message and split here, and the datagrams that do not
+// fit ms come first from the next ReadBatch. A socket read through
+// ReadBatch must be read only through it, since ReadFrom would take a
+// run for one datagram.
 func (b *UDPBatch) ReadBatch(ms []Datagram) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -137,6 +143,36 @@ func (b *UDPBatch) WriteBatch(ms []Datagram) (int, error) {
 		sent++
 	}
 	return sent, nil
+}
+
+// coalesced is one message a UDP_GRO socket hands up for a run of
+// datagrams from one source: their payloads back to back, each seg
+// bytes long but the last, which may be shorter.
+type coalesced struct {
+	buf  []byte
+	seg  int // 0: the message is one datagram
+	addr netip.AddrPort
+}
+
+// splitCoalesced fills ms, one datagram per slot and in order, with the
+// datagrams of msgs that start at byte off of msgs[head]. Each payload
+// is copied into its slot's Buf and truncated to it, as recvmmsg
+// truncates. It returns the slots filled and where the datagrams still
+// left start; head == len(msgs) when none are left.
+func splitCoalesced(ms []Datagram, msgs []coalesced, head, off int) (n, nextHead, nextOff int) {
+	for ; n < len(ms) && head < len(msgs); n++ {
+		m := &msgs[head]
+		end := len(m.buf)
+		if m.seg > 0 && off+m.seg < end {
+			end = off + m.seg
+		}
+		ms[n].N = copy(ms[n].Buf, m.buf[off:end])
+		ms[n].Addr = m.addr
+		if off = end; off == len(m.buf) {
+			head, off = head+1, 0
+		}
+	}
+	return n, head, off
 }
 
 // isClosedConn reports the unrecoverable "socket is gone" condition.

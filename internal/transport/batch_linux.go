@@ -5,14 +5,16 @@ package transport
 import (
 	"net"
 	"net/netip"
+	"runtime"
 	"syscall"
 	"unsafe"
 )
 
 // batchSys is the Linux recvmmsg/sendmmsg implementation behind
 // UDPBatch. All scratch (mmsghdr vectors, iovecs, sockaddr storage,
-// segment control messages) is sized to the largest batch seen and
-// reused, so a warm shard's loop performs zero allocations per batch.
+// segment control messages, receive buffers) is sized to the largest
+// batch seen and reused, so a warm shard's loop performs zero
+// allocations per batch.
 type batchSys struct {
 	raw syscall.RawConn
 
@@ -24,6 +26,17 @@ type batchSys struct {
 	// segment: writes send each run of equal datagrams as one
 	// UDP_SEGMENT message. Cleared for good when the kernel refuses one.
 	segment bool
+
+	// gro: reads take each run as one UDP_GRO message, received into
+	// groBufs with its control messages in ctls, and split from rcvd
+	// into the caller's slots; rcvd[head:], from byte off of rcvd[head],
+	// are datagrams received but not yet returned. groAsked: the first
+	// read has asked the kernel for UDP_GRO.
+	gro, groAsked bool
+	groBufs       []byte
+	ctls          []ctlBuf
+	rcvd          []coalesced
+	head, off     int
 
 	// The poller callbacks are built once and pass operands and results
 	// through these fields: a closure per call escapes, and put three
@@ -47,6 +60,25 @@ const (
 	segMaxCount = 64    // UDP_MAX_SEGMENTS in the kernels that brought UDP_SEGMENT
 	segMaxBytes = 65000 // the run must fit one UDP payload
 )
+
+// UDP generic receive offload (UDP_GRO, Linux 5.0): a socket with the
+// option set is handed each run that arrived as one segmented message
+// (or that the NIC's GRO merged) as one message, and a control message
+// gives the segment size to cut it back at.
+const (
+	udpGRO = 104 // UDP_GRO, at level IPPROTO_UDP
+	// groMsgs is the most messages one coalescing receive takes. Each
+	// needs a buffer of groBufLen, the largest UDP payload, so 8 keeps a
+	// reader at 512 KiB of address space; a batch of single datagrams
+	// takes 8 per syscall, not up to the caller's slot count.
+	groMsgs   = 8
+	groBufLen = 1 << 16
+)
+
+// ctlBuf is one message's receive control buffer, 8-byte aligned as
+// cmsghdrs must be: the UDP_GRO control message takes 24 bytes of it,
+// and a timestamp's 32 more would fit.
+type ctlBuf [8]uint64
 
 // segCmsg is one UDP_SEGMENT control message, padded to
 // CMSG_SPACE(sizeof(uint16)) on 64-bit targets.
@@ -121,7 +153,20 @@ func (b *batchSys) grow(n int) {
 	b.names = b.names[:n]
 }
 
+// readBatch fills ms with datagrams, one per slot. The first call asks
+// for UDP_GRO: a socket only ever written through its UDPBatch (and
+// read with ReadFrom) must keep receiving plain datagrams.
 func (b *batchSys) readBatch(ms []Datagram) (int, error) {
+	if !b.groAsked {
+		b.groAsked = true
+		//ldp:nolint errcheck — a failed Control leaves gro unset: the plain path
+		_ = b.raw.Control(func(fd uintptr) {
+			b.gro = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) == nil
+		})
+	}
+	if b.gro {
+		return b.readCoalesced(ms)
+	}
 	b.grow(len(ms))
 	for i := range ms {
 		b.iovs[i].Base = &ms[i].Buf[0]
@@ -145,6 +190,93 @@ func (b *batchSys) readBatch(ms []Datagram) (int, error) {
 		ms[i].Addr = sockaddrToAddrPort(&b.names[i])
 	}
 	return b.n, nil
+}
+
+// readCoalesced is readBatch on a UDP_GRO socket: the datagrams left
+// over from the last receive come first, and a receive is made only
+// when none are left, since it reuses the buffers they sit in.
+func (b *batchSys) readCoalesced(ms []Datagram) (int, error) {
+	if b.head == len(b.rcvd) {
+		if err := b.receive(min(len(ms), groMsgs)); err != nil {
+			return 0, err
+		}
+	}
+	var n int
+	n, b.head, b.off = splitCoalesced(ms, b.rcvd, b.head, b.off)
+	return n, nil
+}
+
+// receive takes up to k messages into the private buffers and sets
+// rcvd to them.
+func (b *batchSys) receive(k int) error {
+	if b.groBufs == nil {
+		b.groBufs = b.mapBufs()
+		b.ctls = make([]ctlBuf, groMsgs)
+		b.rcvd = make([]coalesced, 0, groMsgs)
+	}
+	b.grow(k)
+	for i := range k {
+		b.iovs[i].Base = &b.groBufs[i*groBufLen]
+		b.iovs[i].SetLen(groBufLen)
+		b.names[i] = syscall.RawSockaddrAny{}
+		b.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&b.names[i])),
+			Namelen: syscall.SizeofSockaddrAny,
+			Iov:     &b.iovs[i],
+			Iovlen:  1,
+			Control: (*byte)(unsafe.Pointer(&b.ctls[i])),
+		}}
+		b.hdrs[i].hdr.SetControllen(int(unsafe.Sizeof(b.ctls[i])))
+	}
+	if err := b.raw.Read(b.recv); err != nil {
+		return err
+	}
+	if b.errno != 0 {
+		return b.errno
+	}
+	b.rcvd = b.rcvd[:b.n]
+	for i := range b.rcvd {
+		h := &b.hdrs[i].hdr
+		ctl := unsafe.Slice((*byte)(unsafe.Pointer(&b.ctls[i])), h.Controllen)
+		b.rcvd[i] = coalesced{
+			buf:  b.groBufs[i*groBufLen:][:b.hdrs[i].n],
+			seg:  groSize(ctl),
+			addr: sockaddrToAddrPort(&b.names[i]),
+		}
+	}
+	b.head, b.off = 0, 0
+	return nil
+}
+
+// mapBufs returns the groMsgs receive buffers, mapped outside the Go
+// heap and unmapped when b is collected. The kernel makes a mapped page
+// resident only when a message first reaches it, where the allocator
+// zeroes a reused heap span and so makes every page of it resident.
+func (b *batchSys) mapBufs() []byte {
+	mem, err := syscall.Mmap(-1, 0, groMsgs*groBufLen,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return make([]byte, groMsgs*groBufLen)
+	}
+	//ldp:nolint errcheck — nothing is left to tell of a failed unmap
+	runtime.AddCleanup(b, func(mem []byte) { _ = syscall.Munmap(mem) }, mem)
+	return mem
+}
+
+// groSize walks a message's control messages for the UDP_GRO segment
+// size; 0 means the message is one datagram.
+func groSize(ctl []byte) int {
+	for len(ctl) >= syscall.SizeofCmsghdr {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&ctl[0]))
+		if h.Len < syscall.SizeofCmsghdr || h.Len > uint64(len(ctl)) {
+			return 0
+		}
+		if h.Level == syscall.IPPROTO_UDP && h.Type == udpGRO && h.Len >= uint64(syscall.CmsgLen(4)) {
+			return int(*(*int32)(unsafe.Pointer(&ctl[syscall.SizeofCmsghdr])))
+		}
+		ctl = ctl[min(syscall.CmsgSpace(int(h.Len)-syscall.SizeofCmsghdr), len(ctl)):]
+	}
+	return 0
 }
 
 // writeBatch sends ms in as few sendmmsg calls as the kernel takes,

@@ -207,3 +207,54 @@ func BenchmarkUDPBatchWriteSegmented(b *testing.B) {
 		write(b)
 	}
 }
+
+// coalescedReader is BenchmarkUDPBatchReadCoalesced's op: one WriteBatch
+// of BatchLen+8 equal-size datagrams to a loopback socket, then
+// ReadBatch with BatchLen slots until every datagram is back. On Linux
+// the run leaves as one segmented message and arrives as one UDP_GRO
+// message, so the second ReadBatch takes its last 8 datagrams from the
+// carry-over, without a syscall.
+func coalescedReader(tb testing.TB) func(tb testing.TB) {
+	snd, _, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { snd.Close() })
+	rcv, dst, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { rcv.Close() })
+	wb, rb := transport.NewUDPBatch(snd), transport.NewUDPBatch(rcv)
+	out := make([]transport.Datagram, transport.BatchLen+8)
+	for i := range out {
+		out[i] = transport.Datagram{Buf: make([]byte, 64), Addr: dst}
+	}
+	in := *transport.GetBatch()
+	return func(tb testing.TB) {
+		if n, err := wb.WriteBatch(out); err != nil || n != len(out) {
+			tb.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(out))
+		}
+		// A lost datagram fails the op instead of hanging it.
+		rcv.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline shows as a hang
+		for got := 0; got < len(out); {
+			n, err := rb.ReadBatch(in)
+			if err != nil {
+				tb.Fatalf("ReadBatch after %d of %d datagrams: %v", got, len(out), err)
+			}
+			got += n
+		}
+	}
+}
+
+// BenchmarkUDPBatchReadCoalesced measures receiving one run of equal
+// queries from one sender, the shape a fast replay querier sends; ns/op
+// covers the write and the reads of BatchLen+8 datagrams.
+func BenchmarkUDPBatchReadCoalesced(b *testing.B) {
+	read := coalescedReader(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(b)
+	}
+}
