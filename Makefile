@@ -31,15 +31,13 @@ fmt-check:
 	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
-# Project-specific static analysis: go vet plus ldp-vet, which enforces
-# LDplayer's architectural invariants (transport-only I/O, simulated
-# clock discipline, metric naming, stats atomicity, error checking,
-# mutex/blocking hygiene, message-pool ownership, shard confinement,
-# transient-buffer aliasing). -stale also fails on //ldp:nolint
-# comments that no longer suppress anything, so suppressions cannot
-# rot. See DESIGN.md "Static analysis & fuzzing".
+# Project-specific static analysis: go vet plus ldp-vet, which holds the
+# invariants no type or test holds (simulated-clock discipline, error
+# checking, mutex/blocking hygiene, shard confinement). -stale also
+# fails on //ldp:nolint comments that no longer suppress anything, so
+# suppressions cannot rot. See DESIGN.md "Static analysis & fuzzing".
 lint: vet
-	$(GO) run ./cmd/ldp-vet -dir . -stale -time
+	$(GO) run ./cmd/ldp-vet -dir . -stale
 
 # bench/ (the BENCHMARK.json harness) is a module of its own, outside
 # `go build ./...` and `go test ./...`: vet and test it against this

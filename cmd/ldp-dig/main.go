@@ -55,7 +55,8 @@ func main() {
 	}
 
 	if *axfr {
-		//ldp:nolint transportonly — AXFR needs the raw TCP byte stream that FetchAXFR consumes, not a framed transport.Endpoint
+		// AXFR needs the raw TCP byte stream that FetchAXFR consumes, not a
+		// framed transport.Endpoint.
 		conn, err := net.DialTimeout("tcp", *server, *timeout)
 		if err != nil {
 			log.Fatal(err)

@@ -46,7 +46,7 @@ func startServer(t *testing.T) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.ServeUDPShards(ctx, conns) //ldp:nolint errcheck — test server; exit races the drain below
+		srv.ServeUDPShards(ctx, conns) // test server; exit races the drain below
 	}()
 	t.Cleanup(func() {
 		cancel()

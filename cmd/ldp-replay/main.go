@@ -185,7 +185,8 @@ func runController(input, listen string, clients int, forceProto string, doFrac 
 	if input == "" {
 		log.Fatal("controller role needs -input")
 	}
-	//ldp:nolint transportonly — control-plane socket: distributors stream trace events here, no DNS traffic
+	// Control-plane socket: distributors stream trace events here, no DNS
+	// traffic.
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		log.Fatal(err)

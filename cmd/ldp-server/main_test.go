@@ -78,7 +78,7 @@ func ask(t *testing.T, addr string, name dnsmsg.Name) *dnsmsg.Msg {
 	if _, err := pc.WriteTo(wire, dst); err != nil {
 		t.Fatal(err)
 	}
-	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the read below
 	buf := make([]byte, 4096)
 	n, _, err := pc.ReadFrom(buf)
 	if err != nil {

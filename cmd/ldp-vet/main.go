@@ -1,22 +1,20 @@
 // Command ldp-vet runs LDplayer's project-specific static-analysis
-// suite (internal/lint) over the module: architectural invariants the
-// compiler and go vet cannot express — transport-only I/O, deterministic
-// simulation hygiene, obs metric-name discipline, no silently dropped
-// errors, no mutexes held across blocking I/O, pooled-message ownership,
-// shard confinement, and transient-buffer aliasing (bufalias).
+// suite (internal/lint) over the module: the invariants that neither
+// the compiler, go vet, the race detector nor a test holds —
+// deterministic simulation hygiene (simclock), no silently dropped
+// errors (errcheck), no mutexes held across blocking I/O (mutexblock)
+// and shard confinement (shardconfined). The invariants a type or a
+// test can hold live there instead; DESIGN.md "Static analysis &
+// fuzzing" lists which mutant each check alone catches.
 //
 // Usage:
 //
-//	ldp-vet [-dir .] [-checks name,name] [-list]
-//	        [-json | -sarif] [-stale] [-workers n] [-time]
+//	ldp-vet [-dir .] [-checks name,name] [-list] [-sarif] [-stale]
 //
-// Packages load and analyze on a worker pool (-workers, default
-// GOMAXPROCS; output is identical to serial). -json and -sarif switch
-// the report encoding; -sarif emits SARIF 2.1.0 for code-scanning
-// upload. -stale additionally flags //ldp:nolint comments that no
-// longer suppress any finding, so suppressions cannot rot; it requires
-// the full checker set (no -checks). -time logs load/analysis
-// wall-clock to stderr.
+// -sarif emits SARIF 2.1.0 for code-scanning upload. -stale
+// additionally flags //ldp:nolint comments that no longer suppress any
+// finding, so suppressions cannot rot; it requires the full checker set
+// (no -checks).
 //
 // Exit status is 0 when the tree is clean, 1 when any diagnostic fires,
 // 2 on usage or load errors. Suppress an individual finding with
@@ -31,9 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"ldplayer/internal/lint"
 )
@@ -42,19 +38,12 @@ func main() {
 	dir := flag.String("dir", ".", "module directory to analyze")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
-	jsonOut := flag.Bool("json", false, "report diagnostics as JSON")
 	sarifOut := flag.Bool("sarif", false, "report diagnostics as SARIF 2.1.0")
 	stale := flag.Bool("stale", false, "also flag //ldp:nolint comments that suppress nothing (requires the full checker set)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel load/analysis workers (1 = serial)")
-	timing := flag.Bool("time", false, "log load and analysis wall-clock to stderr")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: ldp-vet [-dir .] [-checks name,name] [-list] [-json|-sarif] [-stale] [-workers n] [-time]")
-		os.Exit(2)
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "ldp-vet: -json and -sarif are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "usage: ldp-vet [-dir .] [-checks name,name] [-list] [-sarif] [-stale]")
 		os.Exit(2)
 	}
 	if *stale && *checks != "" {
@@ -106,35 +95,19 @@ func main() {
 		checkers = selected
 	}
 
-	loadStart := time.Now()
-	pkgs, err := loader.LoadParallel(*workers)
+	pkgs, err := loader.Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	loadDur := time.Since(loadStart)
+	diags := lint.Run(pkgs, checkers, *stale)
 
-	analyzeStart := time.Now()
-	diags := lint.RunAll(pkgs, checkers, lint.RunConfig{Workers: *workers, Stale: *stale})
-	analyzeDur := time.Since(analyzeStart)
-	if *timing {
-		fmt.Fprintf(os.Stderr, "ldp-vet: workers=%d load=%s analyze=%s (%d packages, %d checkers)\n",
-			*workers, loadDur.Round(time.Millisecond), analyzeDur.Round(time.Millisecond),
-			len(pkgs), len(checkers))
-	}
-
-	switch {
-	case *jsonOut:
-		if err := lint.WriteJSON(os.Stdout, diags, loader.ModuleDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := lint.WriteSARIF(os.Stdout, diags, checkers, loader.ModuleDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -18,10 +18,12 @@
 // copies, garbage, because the buffer is overwritten in place — the
 // moment the message is reused. Nothing may retain any part of a
 // pooled Msg past PutMsg. Code that needs to keep a name or a whole
-// message calls Name.Clone or Msg.Detach first. The poolreturn lint
-// check enforces the GetMsg/PutMsg pairing; the equivalence fuzz target
-// (FuzzUnpackPooledEquivalence) pins UnpackBuffer to Unpack's exact
-// accept/reject behavior and decoded values.
+// message calls Name.Clone or Msg.Detach first. TestMsgPoolBalance
+// (pool_test.go at the module root) serves traffic through every
+// GetMsg path and checks that the pool's Gets and Puts balance; the
+// equivalence fuzz target (FuzzUnpackPooledEquivalence) pins
+// UnpackBuffer to Unpack's exact accept/reject behavior and decoded
+// values.
 package dnsmsg
 
 import (
@@ -660,8 +662,8 @@ func cloneBytes(b []byte) []byte {
 // Message pool. GetMsg returns a Msg ready for UnpackBuffer/SetReply;
 // PutMsg resets it and returns it for reuse. The rule is strict: after
 // PutMsg nothing may touch the message or anything decoded from it
-// (Detach/Clone first). The poolreturn lint check flags GetMsg calls
-// whose result can leave a function without a PutMsg.
+// (Detach/Clone first). TestMsgPoolBalance holds every GetMsg to a
+// PutMsg, across calls too.
 var msgPool = sync.Pool{
 	New: func() any {
 		poolNews.Add(1)

@@ -25,7 +25,7 @@ func serveMetaReference(n *vnet.Network, meta *server.Server) vnet.Handler {
 		if err != nil {
 			return
 		}
-		n.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: wire}) //ldp:nolint errcheck — the capture rule takes every packet
+		n.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: wire}) // the capture rule takes every packet
 	}
 }
 

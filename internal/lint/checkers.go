@@ -5,14 +5,9 @@ package lint
 // -list; diagnostics themselves sort by file position.
 func DefaultCheckers(modulePath string) []Checker {
 	return []Checker{
-		TransportOnly{ModulePath: modulePath},
 		SimClock{ModulePath: modulePath},
-		ObsName{ModulePath: modulePath},
-		StatsAtomic{ModulePath: modulePath},
 		ErrCheck{ModulePath: modulePath},
 		MutexBlock{ModulePath: modulePath},
-		PoolReturn{ModulePath: modulePath},
 		ShardConfined{ModulePath: modulePath},
-		BufAlias{ModulePath: modulePath},
 	}
 }

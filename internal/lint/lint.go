@@ -1,10 +1,10 @@
 // Package lint is LDplayer's project-specific static-analysis
 // framework: the machinery behind cmd/ldp-vet. The compiler and go vet
-// check Go-level properties; this package checks *LDplayer-level*
-// architectural invariants — all network I/O flows through
-// internal/transport, simulated paths never read the wall clock, obs
-// metric names stay literal and well-formed, errors are never silently
-// dropped, and mutexes are not held across blocking I/O.
+// check Go-level properties; this package checks the *LDplayer-level*
+// invariants that no type or test holds: simulated paths never read
+// the wall clock, errors are never silently dropped, mutexes are not
+// held across blocking I/O, and shard state stays on its shard's
+// goroutine.
 //
 // The framework is stdlib-only: go/parser builds the ASTs, go/types
 // type-checks each package against compiler export data obtained from
@@ -28,7 +28,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding: a position, the check that produced it, and
@@ -64,7 +63,7 @@ var nolintRe = regexp.MustCompile(`^//\s*ldp:nolint\b[ \t]*([a-z0-9_,\- \t]*)`)
 
 // nolintEntry is one //ldp:nolint comment: the checks it names (the
 // empty string means "all checks"), where it sits, and whether it
-// actually suppressed a finding during the last RunAll — the stale
+// actually suppressed a finding during the last Run — the stale
 // audit flags entries that did not.
 type nolintEntry struct {
 	names []string
@@ -140,75 +139,26 @@ func KnownChecks() map[string]bool {
 	return known
 }
 
-// RunConfig controls how RunAll applies the checkers.
-type RunConfig struct {
-	// Workers caps concurrent (package × checker) analysis units;
-	// values <= 1 run serially. Checkers keep per-Check state only, so
-	// the output is identical either way.
-	Workers int
-	// Stale additionally reports //ldp:nolint comments that suppressed
-	// no finding in this run (check name "stale"). Only meaningful when
-	// every registered checker runs: with a subset, an unmatched
-	// suppression may belong to a checker that was skipped.
-	Stale bool
-}
-
 // Run applies every checker to every package, filters suppressed
-// findings, and returns the remainder sorted by position.
-func Run(pkgs []*Package, checkers []Checker) []Diagnostic {
-	return RunAll(pkgs, checkers, RunConfig{})
-}
-
-// RunAll is Run with a worker pool and optional suppression audits. In
-// every mode it also validates //ldp:nolint comments themselves: an
-// entry naming a check that does not exist is reported under the check
-// name "nolint" (these are typo-proofing diagnostics and cannot be
-// suppressed). Note the validation doubles as grammar enforcement — a
-// justification not separated by " — ", " -- ", or " - " parses as
-// bogus check names and is flagged.
-func RunAll(pkgs []*Package, checkers []Checker, cfg RunConfig) []Diagnostic {
-	type unit struct{ pkg, chk int }
-	units := make([]unit, 0, len(pkgs)*len(checkers))
-	for pi := range pkgs {
-		for ci := range checkers {
-			units = append(units, unit{pi, ci})
-		}
-	}
-	raw := make([][]Diagnostic, len(units))
-	if cfg.Workers > 1 && len(units) > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					raw[i] = checkers[units[i].chk].Check(pkgs[units[i].pkg])
-				}
-			}()
-		}
-		for i := range units {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i, u := range units {
-			raw[i] = checkers[u.chk].Check(pkgs[u.pkg])
-		}
-	}
-
-	// Suppression filtering (and the used-marking it implies) runs
-	// single-threaded over the joined results, in unit order, so the
-	// outcome is deterministic regardless of Workers.
+// findings, and returns the remainder sorted by position. It also
+// validates the //ldp:nolint comments themselves: an entry naming a
+// check that does not exist is reported under the check name "nolint"
+// (these are typo-proofing diagnostics and cannot be suppressed). The
+// validation doubles as grammar enforcement — a justification not
+// separated by " — ", " -- ", or " - " parses as bogus check names and
+// is flagged. With stale set, Run also reports //ldp:nolint comments
+// that suppressed no finding (check name "stale"); that audit is only
+// sound when every registered checker runs, since an unmatched
+// suppression may belong to a checker that was skipped.
+func Run(pkgs []*Package, checkers []Checker, stale bool) []Diagnostic {
 	var out []Diagnostic
-	for i, u := range units {
-		p := pkgs[u.pkg]
-		for _, d := range raw[i] {
-			if p.Nolint[d.Pos.Filename].suppressed(d.Check, d.Pos.Line) {
-				continue
+	for _, p := range pkgs {
+		for _, c := range checkers {
+			for _, d := range c.Check(p) {
+				if !p.Nolint[d.Pos.Filename].suppressed(d.Check, d.Pos.Line) {
+					out = append(out, d)
+				}
 			}
-			out = append(out, d)
 		}
 	}
 
@@ -233,7 +183,7 @@ func RunAll(pkgs []*Package, checkers []Checker, cfg RunConfig) []Diagnostic {
 					// An entry naming only unknown checks is already
 					// reported above; a second "stale" finding for the
 					// same comment would just restate it.
-					if cfg.Stale && !e.used && anyKnown {
+					if stale && !e.used && anyKnown {
 						label := strings.Join(e.names, ",")
 						if label != "" {
 							label = " " + label

@@ -67,17 +67,11 @@ func TestGolden(t *testing.T) {
 		importPath string // pretend path that puts the fixture in scope
 		checker    Checker
 	}{
-		{"transportonly", mod + "/internal/replaytest", TransportOnly{ModulePath: mod}},
-		{"transportonly_exempt", mod + "/internal/transport", TransportOnly{ModulePath: mod}},
 		{"simclock_strict", mod + "/internal/netsim", SimClock{ModulePath: mod}},
 		{"simclock_seam", mod + "/internal/seamtest", SimClock{ModulePath: mod}},
-		{"obsname", mod + "/internal/obstest", ObsName{ModulePath: mod}},
-		{"statsatomic", mod + "/internal/stattest", StatsAtomic{ModulePath: mod}},
 		{"errcheck", mod + "/internal/errtest", ErrCheck{ModulePath: mod}},
 		{"mutexblock", mod + "/internal/mutextest", MutexBlock{ModulePath: mod}},
-		{"poolreturn", mod + "/internal/pooltest", PoolReturn{ModulePath: mod}},
 		{"shardconfined", mod + "/internal/shardtest", ShardConfined{ModulePath: mod}},
-		{"bufalias", mod + "/internal/bufaliastest", BufAlias{ModulePath: mod}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -85,7 +79,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("CheckDir: %v", err)
 			}
-			got := Run([]*Package{p}, []Checker{tc.checker})
+			got := Run([]*Package{p}, []Checker{tc.checker}, false)
 			wants := collectWants(t, p)
 			for _, d := range got {
 				lineWants := wants[d.Pos.Filename][d.Pos.Line]
@@ -157,7 +151,7 @@ func TestDefaultCheckers(t *testing.T) {
 			t.Errorf("checker %q has no doc", name)
 		}
 	}
-	for _, name := range []string{"transportonly", "simclock", "obsname", "statsatomic", "errcheck", "mutexblock", "poolreturn", "shardconfined", "bufalias"} {
+	for _, name := range []string{"simclock", "errcheck", "mutexblock", "shardconfined"} {
 		if !seen[name] {
 			t.Errorf("DefaultCheckers missing %q", name)
 		}

@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked package ready for checking.
@@ -55,20 +54,6 @@ type Loader struct {
 	exports map[string]string // import path -> export data file
 	metas   []pkgMeta         // module packages, go list order
 	imp     types.Importer
-}
-
-// lockedImporter serializes access to the gc export-data importer: its
-// internal package cache is not safe for the concurrent type-checking
-// LoadParallel does. The FileSet it populates is synchronized already.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
-}
-
-func (li *lockedImporter) Import(path string) (*types.Package, error) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.imp.Import(path)
 }
 
 // NewLoader lists the module rooted at (or containing) dir. The go tool
@@ -114,66 +99,31 @@ func NewLoader(dir string) (*Loader, error) {
 	if l.ModulePath == "" {
 		return nil, fmt.Errorf("lint: no module packages found under %s", dir)
 	}
-	l.imp = &lockedImporter{imp: importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+	l.imp = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := l.exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(file)
-	})}
+	})
 	return l, nil
 }
 
 // Load parses and type-checks every package in the module, in go list
-// (dependency) order.
+// (dependency) order. Each package checks against its imports' export
+// data, never another package's source.
 func (l *Loader) Load() ([]*Package, error) {
-	return l.LoadParallel(1)
-}
-
-// LoadParallel is Load with up to workers concurrent parse+type-check
-// pipelines. Every package checks its imports against compiler export
-// data (never another package's in-progress type-check), so packages
-// are independent: the only shared mutable state is the importer's
-// cache, which lockedImporter serializes, and the FileSet, which
-// synchronizes itself. Results keep go list order regardless of worker
-// count.
-func (l *Loader) LoadParallel(workers int) ([]*Package, error) {
 	pkgs := make([]*Package, len(l.metas))
-	errs := make([]error, len(l.metas))
-	check := func(i int) {
-		m := l.metas[i]
+	for i, m := range l.metas {
 		files := make([]string, len(m.GoFiles))
 		for j, f := range m.GoFiles {
 			files[j] = filepath.Join(m.Dir, f)
 		}
-		pkgs[i], errs[i] = l.checkFiles(m.ImportPath, m.Dir, files)
-	}
-	if workers > 1 && len(l.metas) > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					check(i)
-				}
-			}()
-		}
-		for i := range l.metas {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range l.metas {
-			check(i)
-		}
-	}
-	for _, err := range errs {
+		p, err := l.checkFiles(m.ImportPath, m.Dir, files)
 		if err != nil {
 			return nil, err
 		}
+		pkgs[i] = p
 	}
 	return pkgs, nil
 }

@@ -7,36 +7,8 @@ import (
 	"strings"
 )
 
-// Machine-readable output encodings for ldp-vet: a flat JSON list for
-// scripting and SARIF 2.1.0 for code-scanning upload (inline PR
-// annotations in CI).
-
-// jsonDiag is the -json wire form of one Diagnostic.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// WriteJSON writes diagnostics as a JSON array. File paths are
-// relativized against rootDir (the module root) when possible.
-func WriteJSON(w io.Writer, diags []Diagnostic, rootDir string) error {
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiag{
-			File:    relPath(d.Pos.Filename, rootDir),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// SARIF 2.1.0 output for ldp-vet -sarif: CI uploads it for code
+// scanning, so findings annotate pull requests inline.
 
 // SARIF 2.1.0 structures — only the subset ldp-vet emits, shaped to
 // validate against https://json.schemastore.org/sarif-2.1.0.json.
@@ -96,7 +68,7 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// sarifMetaRules documents the framework-level diagnostics RunAll can
+// sarifMetaRules documents the framework-level diagnostics Run can
 // emit alongside the checker findings.
 var sarifMetaRules = []sarifRule{
 	{ID: "nolint", ShortDescription: sarifMessage{Text: "//ldp:nolint comments must name checks that exist"}},

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/types"
-	"strings"
 )
 
 // Shared type-resolution helpers used by the checkers.
@@ -25,25 +24,6 @@ func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := p.Info.Uses[id].(*types.Func)
 	return fn
-}
-
-// funcUses yields every identifier in the package that resolves to a
-// *types.Func, paired with that function. This catches both direct calls
-// and function values passed around (e.g. `go net.Dial` or a field
-// initialised to time.Now).
-func funcUses(p *Package, yield func(id *ast.Ident, fn *types.Func)) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if fn, ok := p.Info.Uses[id].(*types.Func); ok {
-				yield(id, fn)
-			}
-			return true
-		})
-	}
 }
 
 // namedOf unwraps pointers and aliases down to a *types.Named, or nil.
@@ -66,13 +46,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
-// declaredIn reports whether a method's receiver type is declared in
-// pkgPath (interface methods count for the package declaring the
-// interface).
-func declaredIn(fn *types.Func, pkgPath string) bool {
-	return fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}
-
 // isClockFuncType reports whether the expression's type is
 // `func() time.Time` — the project's injected-clock seam signature.
 func isClockFuncType(p *Package, e ast.Expr) bool {
@@ -85,16 +58,6 @@ func isClockFuncType(p *Package, e ast.Expr) bool {
 		return false
 	}
 	return isNamedType(sig.Results().At(0).Type(), "time", "Time")
-}
-
-// relFile returns the position filename of node relative to the package
-// dir's module root, normalised to forward slashes — e.g.
-// "internal/obs/http.go". Falls back to the raw filename when it is not
-// under root.
-func relFile(p *Package, filename, root string) string {
-	rel := strings.TrimPrefix(filename, root)
-	rel = strings.TrimPrefix(rel, "/")
-	return rel
 }
 
 // exprString renders a (small) expression for use in messages and as a

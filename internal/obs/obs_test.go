@@ -194,18 +194,52 @@ func TestRenderJSONAndText(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	r.Counter("t.x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic registering x as a gauge")
+			t.Fatal("expected panic registering t.x as a gauge")
 		}
 	}()
-	r.Gauge("x")
+	r.Gauge("t.x")
+}
+
+// TestRegistryRejectsMalformedName pins the naming rule every getter
+// applies when it creates a series: lowercase dot-separated segments,
+// the last of which may be an upper-case wire mnemonic.
+func TestRegistryRejectsMalformedName(t *testing.T) {
+	for _, name := range []string{
+		"server.queries", "server.queries.udp", "server.bytes_in",
+		"server.rcode.NOERROR", "replay.rcode.RCODE11", "server.qtype.TYPE65",
+	} {
+		NewRegistry().Counter(name)
+	}
+	register := map[string]func(r *Registry, name string){
+		"Counter":        func(r *Registry, name string) { r.Counter(name) },
+		"CounterFunc":    func(r *Registry, name string) { r.CounterFunc(name, func() uint64 { return 0 }) },
+		"Gauge":          func(r *Registry, name string) { r.Gauge(name) },
+		"Histogram":      func(r *Registry, name string) { r.Histogram(name, LatencyBuckets) },
+		"ShardedCounter": func(r *Registry, name string) { r.ShardedCounter(name) },
+	}
+	for _, name := range []string{
+		"queries", "Server.queries", "server.bytesIn", "server.Queries.udp",
+		"server.rcode.NoError", "server..queries", "server.queries.", "server-queries.udp", "",
+	} {
+		for kind, reg := range register {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) registered a malformed name", kind, name)
+					}
+				}()
+				reg(NewRegistry(), name)
+			}()
+		}
+	}
 }
 
 func TestEvery(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("tick")
+	c := r.Counter("t.tick")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got := make(chan Snapshot, 8)
@@ -218,8 +252,8 @@ func TestEvery(t *testing.T) {
 	c.Add(7)
 	select {
 	case s := <-got:
-		if s.Counters["tick"] != 7 {
-			t.Fatalf("snapshot counter = %d, want 7", s.Counters["tick"])
+		if s.Counters["t.tick"] != 7 {
+			t.Fatalf("snapshot counter = %d, want 7", s.Counters["t.tick"])
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no snapshot delivered")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"regexp"
 	"sync"
 )
 
@@ -11,7 +12,7 @@ import (
 // the same instrument, so independent components aggregate into shared
 // process-wide series, and a name registered as one kind must not be
 // re-requested as another (that panics — it is a programming error, as
-// in expvar).
+// in expvar). So does a malformed name: see validName.
 type Registry struct {
 	mu sync.Mutex // serializes creation only
 	m  sync.Map   // name -> *Counter | *CounterFunc | *Gauge | *Histogram
@@ -40,6 +41,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if v, ok := r.m.Load(name); ok {
 		return mustKind[*Counter](name, v)
 	}
+	mustValidName(name)
 	c := &Counter{}
 	r.m.Store(name, c)
 	return c
@@ -57,6 +59,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) *CounterFunc {
 	if v, ok := r.m.Load(name); ok {
 		return mustKind[*CounterFunc](name, v)
 	}
+	mustValidName(name)
 	c := &CounterFunc{fn: fn}
 	r.m.Store(name, c)
 	return c
@@ -72,6 +75,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if v, ok := r.m.Load(name); ok {
 		return mustKind[*Gauge](name, v)
 	}
+	mustValidName(name)
 	g := &Gauge{}
 	r.m.Store(name, g)
 	return g
@@ -89,6 +93,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if v, ok := r.m.Load(name); ok {
 		return mustKind[*Histogram](name, v)
 	}
+	mustValidName(name)
 	h := newHistogram(bounds)
 	r.m.Store(name, h)
 	return h
@@ -108,4 +113,20 @@ func mustKind[T any](name string, v any) T {
 		panic(fmt.Sprintf("obs: instrument %q already registered as %T", name, v))
 	}
 	return t
+}
+
+// validName is the series naming rule: lowercase dot-separated
+// segments, at least two, where the last may instead be an upper-case
+// mnemonic so that bounded families keyed by a wire name keep it as the
+// wire spells it (server.rcode.NOERROR, server.qtype.AAAA).
+var validName = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\.([a-z0-9_]+|[A-Z0-9]+)$`)
+
+// mustValidName panics on a malformed series name. Registries call it
+// only when they create a series, never on the lookup path, so a
+// malformed name fails the first time it is registered, like a kind
+// mismatch.
+func mustValidName(name string) {
+	if !validName.MatchString(name) {
+		panic(fmt.Sprintf("obs: malformed instrument name %q: want lowercase dot-separated segments, e.g. server.queries or server.rcode.NOERROR", name))
+	}
 }

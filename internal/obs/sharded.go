@@ -92,6 +92,7 @@ func (r *Registry) ShardedCounter(name string) *ShardedCounter {
 	if v, ok := r.m.Load(name); ok {
 		return mustKind[*ShardedCounter](name, v)
 	}
+	mustValidName(name)
 	c := &ShardedCounter{}
 	r.m.Store(name, c)
 	return c

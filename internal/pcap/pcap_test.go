@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/netip"
 	"testing"
@@ -204,46 +205,65 @@ func TestReassemblerRetransmission(t *testing.T) {
 	}
 }
 
+// TestDNSReaderEndToEnd writes synthetic captures of UDP and TCP DNS
+// and reads them back as trace events. The reader decodes frames in
+// place in its 64 KiB block buffer and refills it as it goes, so the
+// larger capture checks that every event keeps its own Wire after the
+// block it was read from has been reused.
 func TestDNSReaderEndToEnd(t *testing.T) {
-	// Write a synthetic capture with UDP and TCP DNS plus noise, read it
-	// back as trace events.
-	var buf bytes.Buffer
-	events := []*trace.Event{
+	small := []*trace.Event{
 		{Time: time.Unix(10, 0), Src: cliAP, Dst: srvAP, Proto: trace.UDP, Wire: dnsWire(t, "u.example.")},
 		{Time: time.Unix(11, 0), Src: cliAP, Dst: srvAP, Proto: trace.TCP, Wire: dnsWire(t, "t.example.")},
 		{Time: time.Unix(12, 0), Src: cliAP, Dst: srvAP, Proto: trace.TCP, Wire: dnsWire(t, "t2.example.")},
 	}
-	dw := NewDNSWriter(&buf)
-	for _, e := range events {
-		if err := dw.Write(e); err != nil {
-			t.Fatal(err)
+	var large []*trace.Event
+	for i := range 2000 {
+		proto := trace.UDP
+		if i%3 == 0 {
+			proto = trace.TCP
 		}
+		name := dnsmsg.MustParseName(fmt.Sprintf("q%d.%s.example.", i, proto))
+		large = append(large, &trace.Event{Time: time.Unix(20, int64(i)), Src: cliAP, Dst: srvAP, Proto: proto, Wire: dnsWire(t, name)})
 	}
-	if err := dw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	for name, events := range map[string][]*trace.Event{"one block": small, "many blocks": large} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			dw := NewDNSWriter(&buf)
+			for _, e := range events {
+				if err := dw.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := dw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if name == "many blocks" && buf.Len() < 2<<16 {
+				t.Fatalf("capture is %d bytes, want more than two 64 KiB blocks", buf.Len())
+			}
 
-	dr, err := NewDNSReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadAll(dr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != 3 {
-		t.Fatalf("%d events, want 3", len(got.Events))
-	}
-	for i, e := range got.Events {
-		if !bytes.Equal(e.Wire, events[i].Wire) {
-			t.Errorf("event %d wire mismatch", i)
-		}
-		if e.Proto != events[i].Proto {
-			t.Errorf("event %d proto=%v want %v", i, e.Proto, events[i].Proto)
-		}
-		if e.Src != cliAP || e.Dst != srvAP {
-			t.Errorf("event %d endpoints %v -> %v", i, e.Src, e.Dst)
-		}
+			dr, err := NewDNSReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := trace.ReadAll(dr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Events) != len(events) {
+				t.Fatalf("%d events, want %d", len(got.Events), len(events))
+			}
+			for i, e := range got.Events {
+				if !bytes.Equal(e.Wire, events[i].Wire) {
+					t.Errorf("event %d (%v) wire mismatch", i, e.Proto)
+				}
+				if e.Proto != events[i].Proto {
+					t.Errorf("event %d proto=%v want %v", i, e.Proto, events[i].Proto)
+				}
+				if e.Src != cliAP || e.Dst != srvAP {
+					t.Errorf("event %d endpoints %v -> %v", i, e.Src, e.Dst)
+				}
+			}
+		})
 	}
 }
 

@@ -85,7 +85,8 @@ func ServeController(ctx context.Context, ln net.Listener, input trace.Reader, n
 // stream with a local engine: this machine's distributor, feeding its
 // queriers.
 func RunRemoteClient(ctx context.Context, controllerAddr string, cfg Config) (*Report, error) {
-	//ldp:nolint transportonly — control-plane stream from the controller, carries trace events not DNS traffic
+	// Control-plane stream from the controller: it carries trace events,
+	// not DNS traffic.
 	conn, err := net.Dial("tcp", controllerAddr)
 	if err != nil {
 		return nil, err

@@ -285,3 +285,33 @@ func TestUDPShortReplies(t *testing.T) {
 		}
 	}
 }
+
+// TestUDPRcodesCountedPerDatagram: the UDP read loop receives into one
+// pooled datagram batch (transport.GetBatch) that every ReadBatch
+// overwrites, so whatever it keeps of a response must be taken before
+// the next read. Here the echo fabric reflects queries whose headers
+// alternate NOERROR and NXDOMAIN across many batches, and the per-rcode
+// counters must split them exactly.
+func TestUDPRcodesCountedPerDatagram(t *testing.T) {
+	const n = 4000
+	events := benchEvents(t, 4, 64)
+	for i, e := range events {
+		wire := append([]byte(nil), e.Wire...)
+		if i%2 == 1 {
+			wire[3] = wire[3]&0xf0 | byte(dnsmsg.RcodeNXDomain)
+		}
+		e.Wire = wire
+	}
+	reg := obs.NewRegistry()
+	cfg := fastConfig(fabricServer, echoFabric{})
+	cfg.Obs = reg
+	rep, err := runPlane(context.Background(), cfg, &cycleSource{events: events, total: n}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	noerr, nx := snap.Counters["replay.rcode.NOERROR"], snap.Counters["replay.rcode.NXDOMAIN"]
+	if rep.Responses != n || noerr != n/2 || nx != n/2 {
+		t.Errorf("responses=%d NOERROR=%d NXDOMAIN=%d; want %d, %d, %d", rep.Responses, noerr, nx, n, n/2, n/2)
+	}
+}

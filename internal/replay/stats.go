@@ -105,7 +105,9 @@ func (st *stats) countRcode(rc dnsmsg.Rcode) {
 	}
 	c := st.rcodes[rc].Load()
 	if c == nil {
-		c = st.reg.Counter("replay.rcode." + rc.String()) //ldp:nolint obsname — bounded dynamic family: 16 rcodes, each series cached after first use
+		// Bounded dynamic family: 16 rcodes, each series cached after
+		// first use.
+		c = st.reg.Counter("replay.rcode." + rc.String())
 		st.rcodes[rc].Store(c)
 	}
 	c.Inc()

@@ -330,3 +330,53 @@ func BenchmarkServerHandleQuery(b *testing.B) {
 		}
 	})
 }
+
+// TestAnswerCacheKeyOutlivesArena: a request decoded with UnpackBuffer
+// names its question by a view into the message's arena, which the
+// next decode overwrites in place. The answer cache must keep its own
+// copy of the name: once a same-length name has been decoded over the
+// cached one, the cached name must still hit and the new one must not.
+func TestAnswerCacheKeyOutlivesArena(t *testing.T) {
+	s := handleQueryServer(t, "* IN A 192.0.2.200\n")
+	src := netip.MustParseAddr("10.0.0.1")
+	pooled := dnsmsg.GetMsg()
+	defer dnsmsg.PutMsg(pooled)
+	// ask serves name, decoded into the pooled message's arena or, with
+	// arena unset, held in a plain Msg, and reports whether it hit.
+	ask := func(name dnsmsg.Name, arena bool) (hit bool) {
+		t.Helper()
+		req := query(name, dnsmsg.TypeA)
+		if arena {
+			wire, err := req.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pooled.UnpackBuffer(wire); err != nil {
+				t.Fatal(err)
+			}
+			req = pooled
+		}
+		before := s.Stats().CacheHits
+		out, err := s.HandleQueryWire(src, req, 512, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp dnsmsg.Msg
+		if err := resp.Unpack(out); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Question) != 1 || resp.Question[0].Name != name {
+			t.Fatalf("query for %s answered %v", name, resp.Question)
+		}
+		return s.Stats().CacheHits > before
+	}
+	// The second sighting of a name admits it to the cache.
+	ask("aaa.example.com.", true)
+	ask("aaa.example.com.", true)
+	if ask("bbb.example.com.", true) {
+		t.Error("bbb.example.com. hit the cache on its first sighting: the cached key aliases the request arena")
+	}
+	if !ask("aaa.example.com.", false) {
+		t.Error("aaa.example.com. missed after another name was decoded over it: the cached key aliases the request arena")
+	}
+}

@@ -54,7 +54,7 @@ func serveUDPRig(tb testing.TB, shards int) func(tb testing.TB, n int) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.ServeUDPShards(ctx, conns) //ldp:nolint errcheck — benchmark server; exit races the drain below
+		srv.ServeUDPShards(ctx, conns) // benchmark server; exit races the drain below
 	}()
 	tb.Cleanup(func() {
 		cancel()

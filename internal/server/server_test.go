@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"crypto/tls"
+	"fmt"
 	"net"
 	"net/netip"
 	"testing"
@@ -281,6 +282,58 @@ func TestServeTCPLiveWithReuseAndIdleTimeout(t *testing.T) {
 	}
 	if open := s.Stats().TCPConnsOpen; open != 0 {
 		t.Errorf("%d connections still open after idle timeout", open)
+	}
+}
+
+// TestServeTCPPipelined: the stream path reads each framed query into a
+// borrowed buffer (transport.RecvPooled) that the next read reuses, so
+// whatever answers a query must be done with its bytes first. Queries
+// written back to back on one connection, each for its own name and
+// with its own ID, must each come back answering that name.
+func TestServeTCPPipelined(t *testing.T) {
+	s := New(Config{})
+	s.AddZone(mustParse(t, exampleComZone+"* IN A 192.0.2.200\n"))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.ServeTCP(ctx, ln)
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 200
+	name := func(i int) dnsmsg.Name { return dnsmsg.Name(fmt.Sprintf("h%03d.example.com.", i)) }
+	var all []byte
+	for i := range n {
+		q := query(name(i), dnsmsg.TypeA)
+		q.ID = uint16(i)
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(append(all, byte(len(wire)>>8), byte(len(wire))), wire...)
+	}
+	if _, err := c.Write(all); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for range n {
+		out, err := dnsmsg.ReadTCPMsg(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp dnsmsg.Msg
+		if err := resp.Unpack(out); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Question) != 1 || resp.ID >= n || resp.Question[0].Name != name(int(resp.ID)) {
+			t.Fatalf("response ID %d answers %v", resp.ID, resp.Question)
+		}
 	}
 }
 

@@ -145,7 +145,9 @@ func (v *statView) countRcode(rc dnsmsg.Rcode) {
 	}
 	c := v.rcodes[rc].Load()
 	if c == nil {
-		c = v.stats.reg.ShardedCounter("server.rcode." + rc.String()).Slot(v.slot) //ldp:nolint obsname — bounded dynamic family: 16 rcodes, each series cached after first use
+		// Bounded dynamic family: 16 rcodes, each series cached after
+		// first use.
+		c = v.stats.reg.ShardedCounter("server.rcode." + rc.String()).Slot(v.slot)
 		v.rcodes[rc].Store(c)
 	}
 	c.Inc()
@@ -158,7 +160,9 @@ func (v *statView) countQtype(t dnsmsg.Type) {
 		c.(*obs.Counter).Inc()
 		return
 	}
-	c := v.stats.reg.ShardedCounter("server.qtype." + t.String()).Slot(v.slot) //ldp:nolint obsname — bounded dynamic family: qtypes seen in traffic, each series cached after first use
+	// Bounded dynamic family: qtypes seen in traffic, each series cached
+	// after first use.
+	c := v.stats.reg.ShardedCounter("server.qtype." + t.String()).Slot(v.slot)
 	v.qtypes.Store(t, c)
 	c.Inc()
 }

@@ -110,8 +110,8 @@ type Trace struct {
 }
 
 // Stats summarizes a trace the way the paper's Table 1 reports traces.
-//
-//ldp:nolint statsatomic — filled by a single-goroutine scan in Summarize, never shared while accumulating
+// Summarize fills it in a single-goroutine scan; it is never shared
+// while accumulating.
 type Stats struct {
 	Records      int
 	Queries      int

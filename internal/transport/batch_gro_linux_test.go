@@ -87,7 +87,7 @@ func groReader(t *testing.T, rcv net.PacketConn, snd *UDPBatch) *UDPBatch {
 	if n, err := snd.WriteBatch([]Datagram{{Buf: []byte("first"), Addr: AddrPortOf(rcv.LocalAddr())}}); err != nil || n != 1 {
 		t.Fatalf("WriteBatch = %d, %v; want 1, nil", n, err)
 	}
-	rcv.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the reads
+	rcv.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the reads
 	ms := []Datagram{{Buf: make([]byte, 64)}}
 	if n, err := rb.ReadBatch(ms); err != nil || n != 1 || string(ms[0].Buf[:ms[0].N]) != "first" {
 		t.Fatalf("ReadBatch = %d, %v; want the first datagram", n, err)

@@ -82,7 +82,7 @@ func segmentedBatch(a, b netip.AddrPort) ([]Datagram, map[netip.AddrPort][][]byt
 // readPlain reads n datagrams from pc with ReadFrom.
 func readPlain(t *testing.T, pc net.PacketConn, n int) [][]byte {
 	t.Helper()
-	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the read below
 	var got [][]byte
 	buf := make([]byte, 2048)
 	for len(got) < n {
@@ -98,7 +98,7 @@ func readPlain(t *testing.T, pc net.PacketConn, n int) [][]byte {
 // readBatched reads n datagrams from pc through a UDPBatch.
 func readBatched(t *testing.T, pc net.PacketConn, n int) [][]byte {
 	t.Helper()
-	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	pc.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the read below
 	rb := NewUDPBatch(pc)
 	ms := make([]Datagram, 16)
 	for i := range ms {
@@ -204,7 +204,7 @@ func TestUDPBatchWriteSegmentRefused(t *testing.T) {
 		samePayloads(t, "UDPBatch reader", readBatched(t, batched, len(want[b])), want[b])
 	}
 	// Nothing more was queued: each datagram arrived exactly once.
-	plain.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //ldp:nolint errcheck — test socket; a failed deadline hangs the read visibly
+	plain.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) // test socket; a failed deadline hangs the read visibly
 	if n, _, err := plain.ReadFrom(make([]byte, 2048)); err == nil {
 		t.Fatalf("a %d-byte datagram arrived twice", n)
 	}

@@ -81,7 +81,7 @@ func TestUDPBatchReadWrite(t *testing.T) {
 	}
 	buf := make([]byte, 2048)
 	seen := map[string]bool{}
-	cli.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the read below
 	for len(seen) < len(payloads) {
 		n, _, err := cli.ReadFrom(buf)
 		if err != nil {
@@ -108,7 +108,7 @@ func TestUDPBatchWriteCountsRefused(t *testing.T) {
 		t.Fatalf("WriteBatch = %d, %v; want 2, nil", sent, err)
 	}
 	buf := make([]byte, 128)
-	cli.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline fails the read below
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline fails the read below
 	for _, want := range []string{"one", "two"} {
 		n, _, err := cli.ReadFrom(buf)
 		if err != nil || string(buf[:n]) != want {
@@ -122,7 +122,7 @@ func TestUDPBatchWriteCountsRefused(t *testing.T) {
 // this.
 func TestUDPBatchDeadline(t *testing.T) {
 	b, _, _ := newBatchPair(t)
-	b.pc.SetReadDeadline(time.Now().Add(10 * time.Millisecond)) //ldp:nolint errcheck — test socket; an un-armed deadline hangs the test visibly
+	b.pc.SetReadDeadline(time.Now().Add(10 * time.Millisecond)) // test socket; an un-armed deadline hangs the test visibly
 	ms := []Datagram{{Buf: make([]byte, 512)}}
 	_, err := b.ReadBatch(ms)
 	nerr, ok := err.(net.Error)
@@ -212,7 +212,7 @@ func TestListenUDPReusePort(t *testing.T) {
 	}
 	results := make(chan string, len(conns))
 	for _, c := range conns {
-		c.SetReadDeadline(time.Now().Add(2 * time.Second)) //ldp:nolint errcheck — test socket; reads below time out on their own
+		c.SetReadDeadline(time.Now().Add(2 * time.Second)) // test socket; reads below time out on their own
 		go func(pc net.PacketConn) {
 			b := make([]byte, 64)
 			n, _, err := pc.ReadFrom(b)

@@ -236,7 +236,7 @@ func coalescedReader(tb testing.TB) func(tb testing.TB) {
 			tb.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(out))
 		}
 		// A lost datagram fails the op instead of hanging it.
-		rcv.SetReadDeadline(time.Now().Add(5 * time.Second)) //ldp:nolint errcheck — test socket; a failed deadline shows as a hang
+		rcv.SetReadDeadline(time.Now().Add(5 * time.Second)) // test socket; a failed deadline shows as a hang
 		for got := 0; got < len(out); {
 			n, err := rb.ReadBatch(in)
 			if err != nil {

@@ -19,7 +19,7 @@ func echoNet(t *testing.T) (*vnet.Network, *VNetHost, netip.AddrPort) {
 	n := vnet.New()
 	echo := netip.AddrPortFrom(netip.MustParseAddr("10.6.0.1"), 53)
 	n.Attach(echo.Addr(), func(pkt vnet.Packet) {
-		n.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: pkt.Payload}) //ldp:nolint errcheck — an unbound reply port is the drop the tests look for
+		n.Send(vnet.Packet{Src: pkt.Dst, Dst: pkt.Src, Payload: pkt.Payload}) // an unbound reply port is the drop the tests look for
 	})
 	h := NewVNetHost(n, netip.MustParseAddr("10.6.0.2"))
 	t.Cleanup(h.Close)
@@ -127,7 +127,7 @@ func TestVNetCloseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				n.Send(vnet.Packet{Src: echo, Dst: local, Payload: []byte("old")}) //ldp:nolint errcheck — delivery to a closing port may legitimately fail
+				n.Send(vnet.Packet{Src: echo, Dst: local, Payload: []byte("old")}) // delivery to a closing port may legitimately fail
 			}
 		}()
 		time.Sleep(time.Millisecond)

@@ -99,8 +99,8 @@ func FuzzZoneParseDifferential(f *testing.F) {
 			}
 		} else {
 			var bs, bp bytes.Buffer
-			zs.WriteTo(&bs) //ldp:nolint errcheck — bytes.Buffer cannot fail
-			zp.WriteTo(&bp) //ldp:nolint errcheck — bytes.Buffer cannot fail
+			zs.WriteTo(&bs) // bytes.Buffer cannot fail
+			zp.WriteTo(&bp) // bytes.Buffer cannot fail
 			if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
 				t.Fatalf("parallel zone mismatch:\nsequential:\n%s\nparallel:\n%s", bs.String(), bp.String())
 			}

@@ -332,8 +332,8 @@ func TestParseParallelReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	z.WriteTo(&a)    //ldp:nolint errcheck — bytes.Buffer cannot fail
-	want.WriteTo(&b) //ldp:nolint errcheck — bytes.Buffer cannot fail
+	z.WriteTo(&a)    // bytes.Buffer cannot fail
+	want.WriteTo(&b) // bytes.Buffer cannot fail
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("ParseParallel result differs from Parse")
 	}
