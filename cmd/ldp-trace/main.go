@@ -8,8 +8,8 @@
 //	gen      -model broot -duration 60s -rate 1000 -out trace.ldpb
 //	stat     -in trace.ldpb               print Table-1-style statistics
 //
-// Formats by extension: .pcap (network trace), .txt (plain text),
-// .ldpb (internal binary).
+// Formats by extension (pcap.FormatOf): .pcap (network trace), .txt
+// (plain text), .ldpb or none (internal binary).
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"ldplayer/internal/mutate"
@@ -54,45 +53,26 @@ func usage() {
 }
 
 func openReader(path string) trace.Reader {
-	f, err := os.Open(path)
+	r, _, err := pcap.OpenTrace(path) // read to the end; the process exit closes it
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch filepath.Ext(path) {
-	case ".pcap":
-		r, err := pcap.NewDNSReader(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
-	case ".txt":
-		return trace.NewTextReader(f)
-	default:
-		return trace.NewBinaryReader(f)
-	}
+	return r
 }
 
-type flusher interface{ Flush() error }
-
 func openWriter(path string) (trace.Writer, func()) {
+	format, err := pcap.FormatOf(path)
+	if err != nil {
+		log.Fatal(err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var w trace.Writer
-	switch filepath.Ext(path) {
-	case ".pcap":
-		w = pcap.NewDNSWriter(f)
-	case ".txt":
-		w = trace.NewTextWriter(f)
-	default:
-		w = trace.NewBinaryWriter(f)
-	}
+	w := format.NewWriter(f)
 	return w, func() {
-		if fl, ok := w.(flusher); ok {
-			if err := fl.Flush(); err != nil {
-				log.Fatal(err)
-			}
+		if err := w.Flush(); err != nil {
+			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)

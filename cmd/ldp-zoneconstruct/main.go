@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"ldplayer/internal/pcap"
-	"ldplayer/internal/trace"
 	"ldplayer/internal/zoneconstruct"
 )
 
@@ -28,28 +27,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ldp-zoneconstruct: ")
 
-	input := flag.String("input", "", "trace file with responses (.pcap, .ldpb)")
+	input := flag.String("input", "", "trace file with responses (.pcap, .txt, .ldpb)")
 	out := flag.String("out", "zones", "output directory for zone files")
 	flag.Parse()
 	if *input == "" {
 		log.Fatal("-input is required")
 	}
 
-	f, err := os.Open(*input)
+	r, f, err := pcap.OpenTrace(*input)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	var r trace.Reader
-	switch filepath.Ext(*input) {
-	case ".pcap":
-		r, err = pcap.NewDNSReader(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		r = trace.NewBinaryReader(f)
-	}
 
 	c := zoneconstruct.New()
 	events, responses := 0, 0

@@ -14,10 +14,10 @@ import (
 //
 // Deliberate, documented exemptions (these never fail, or failure is
 // meaningless): fmt printing to stdout/stderr or to in-memory buffers,
-// writes to bytes.Buffer/strings.Builder, writes into a hash.Hash
-// (documented never to error), `defer x.Close()`-style deferred
-// cleanup, and `go f()` statements (the error has nowhere to go; a
-// goroutine that must report errors uses a channel).
+// writes to bytes.Buffer/strings.Builder, writes into a hash.Hash or
+// a maphash.Hash (documented never to error), `defer x.Close()`-style
+// deferred cleanup, and `go f()` statements (the error has nowhere to
+// go; a goroutine that must report errors uses a channel).
 type ErrCheck struct {
 	ModulePath string
 }
@@ -41,6 +41,10 @@ var errCheckExemptFuncs = map[string]bool{
 	"(*strings.Builder).WriteString": true,
 	"(*strings.Builder).WriteByte":   true,
 	"(*strings.Builder).WriteRune":   true,
+
+	"(*hash/maphash.Hash).Write":       true,
+	"(*hash/maphash.Hash).WriteString": true,
+	"(*hash/maphash.Hash).WriteByte":   true,
 }
 
 // errCheckFprintFuncs get a pass when their writer is stdout/stderr or

@@ -33,10 +33,11 @@ func (MutexBlock) Doc() string {
 }
 
 // transportBlockingMethods are the I/O entry points of the transport
-// package (methods on Endpoint/Listener/Dialer/Conn and the package
-// funcs) that can block on the network.
+// package (methods on Endpoint/Listener/Dialer/Conn/UDPBatch/Exchanger
+// and the package funcs) that can block on the network.
 var transportBlockingMethods = map[string]bool{
-	"Send": true, "Recv": true, "Accept": true, "Exchange": true,
+	"Send": true, "Recv": true, "RecvPooled": true, "Accept": true,
+	"Exchange": true, "ExchangeInto": true, "ReadBatch": true, "WriteBatch": true,
 	"Dial": true, "DialContext": true, "Serve": true,
 }
 

@@ -1,7 +1,7 @@
 // Package errtest exercises the errcheck checker: silently dropped
 // errors are flagged; the documented exemptions (defer/go, fmt to
-// stderr, in-memory buffers, hash.Hash writes) and suppressed sites
-// pass.
+// stderr, in-memory buffers, hash.Hash and maphash.Hash writes) and
+// suppressed sites pass.
 package errtest
 
 import (
@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"os"
 )
@@ -48,6 +49,8 @@ func exemptions(f *os.File) {
 	h.Write([]byte("never errors"))
 	h64 := fnv.New64a()
 	io.WriteString(h64, "nor this")
+	var mh maphash.Hash
+	mh.WriteString("nor a maphash")
 }
 
 func deferredClosureStillChecked(f *os.File) {

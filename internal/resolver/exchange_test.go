@@ -30,8 +30,9 @@ func bigZone() *zone.Zone {
 	return z
 }
 
-// TestUDPExchangerLive resolves against a real server over loopback,
-// including the TC -> TCP fallback path.
+// TestUDPExchangerLive resolves against a real server over loopback
+// through a UDP transport.Exchanger, the exchanger a stand-alone
+// recursive deployment uses, including the TC -> TCP fallback path.
 func TestUDPExchangerLive(t *testing.T) {
 	s := server.New(server.Config{})
 	if err := s.AddZone(bigZone()); err != nil {
@@ -48,7 +49,7 @@ func TestUDPExchangerLive(t *testing.T) {
 	ap := pc.LocalAddr().(*net.UDPAddr).AddrPort()
 	target := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), ap.Port())
 
-	x := &UDPExchanger{Timeout: 2 * time.Second}
+	x := &transport.Exchanger{Timeout: 2 * time.Second}
 
 	// Small answer arrives over UDP.
 	var q dnsmsg.Msg
@@ -74,7 +75,7 @@ func TestUDPExchangerLive(t *testing.T) {
 	}
 
 	// With fallback disabled the truncated response surfaces.
-	x2 := &UDPExchanger{Timeout: 2 * time.Second, DisableTCPFallback: true}
+	x2 := &transport.Exchanger{Timeout: 2 * time.Second, DisableTCPFallback: true}
 	q.ID = 13
 	resp, err = x2.Exchange(ctx, target, &q)
 	if err != nil {
@@ -85,16 +86,16 @@ func TestUDPExchangerLive(t *testing.T) {
 	}
 
 	// Dead server: timeout error, no hang.
-	x3 := &UDPExchanger{Timeout: 200 * time.Millisecond}
+	x3 := &transport.Exchanger{Timeout: 200 * time.Millisecond}
 	q.ID = 14
 	if _, err := x3.Exchange(ctx, netip.MustParseAddrPort("127.0.0.1:1"), &q); err == nil {
 		t.Fatal("exchange with dead server succeeded")
 	}
 }
 
-// TestResolverOverRealSockets: full resolver + UDPExchanger against a
-// live multi-zone server reachable at one address — the deployment mode
-// outside the testbed.
+// TestResolverOverRealSockets: full resolver + transport.Exchanger
+// against a live multi-zone server reachable at one address — the
+// deployment mode outside the testbed.
 func TestResolverOverRealSockets(t *testing.T) {
 	// One server hosting root + com + example.com in a match-all view,
 	// reachable at 127.0.0.1. All NS addresses in the zones point at
@@ -143,7 +144,7 @@ www IN A 192.0.2.80
 
 	// NOTE: referral glue says port 53, but the test server runs on an
 	// ephemeral port; remap in the exchanger wrapper.
-	inner := &UDPExchanger{Timeout: 2 * time.Second}
+	inner := &transport.Exchanger{Timeout: 2 * time.Second}
 	remap := ExchangeFunc(func(ctx context.Context, srv netip.AddrPort, q *dnsmsg.Msg) (*dnsmsg.Msg, error) {
 		return inner.Exchange(ctx, netip.AddrPortFrom(srv.Addr(), port), q)
 	})

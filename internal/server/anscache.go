@@ -108,7 +108,7 @@ func (c *ansCache) get(k ansKey, gen uint64) (*ansEntry, bool) {
 func (c *ansCache) admit(k ansKey) bool {
 	var h maphash.Hash
 	h.SetSeed(c.seed)
-	h.WriteString(string(k.name)) //ldp:nolint errcheck — maphash writes cannot fail
+	h.WriteString(string(k.name))
 	var b [4]byte
 	b[0] = byte(k.qtype >> 8)
 	b[1] = byte(k.qtype)
@@ -119,7 +119,7 @@ func (c *ansCache) admit(k ansKey) bool {
 		b[2] |= 2
 	}
 	b[3] = k.size
-	h.Write(b[:]) //ldp:nolint errcheck — maphash writes cannot fail
+	h.Write(b[:])
 	sk := seenKey{view: k.view, sum: h.Sum64()}
 
 	c.mu.Lock()

@@ -3,8 +3,8 @@ package server
 // The serve benchmarks measure the full UDP pipeline — kernel socket,
 // batched reads, shard dispatch, answer cache, batched writes — driven
 // closed-loop by the replay engine behind a replay.NewWindowSource (what
-// ldp-loadgen runs), and report achieved qps and qps per schedulable
-// core. Sharded vs single-pipeline is the tentpole comparison: on a
+// an ldp-replay -conc load run uses), and report achieved qps and qps
+// per schedulable core. Sharded vs single-pipeline is the tentpole comparison: on a
 // multi-core host the sharded figure should scale with GOMAXPROCS while
 // single-pipeline stays flat.
 
