@@ -340,7 +340,9 @@ func runClient(ctx context.Context, o options, out io.Writer) error {
 // query's intended send (its trace time, its place on the -qps
 // schedule, or its admission to the -conc window) when results are
 // kept, and is reg's wire RTT histogram, which serves this one run,
-// when they are dropped.
+// when they are dropped. The send-time error (sent − intended) comes
+// from the results too, or from reg's send-lag histogram; only the
+// results know the worst.
 func printReport(out io.Writer, rep *replay.Report, reg *obs.Registry) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sent:        %d queries (%d bytes)\n", rep.Sent, rep.BytesSent)
@@ -357,31 +359,40 @@ func printReport(out io.Writer, rep *replay.Report, reg *obs.Registry) error {
 	fmt.Fprintf(&b, "throughput:  %.0f answered q/s (%.0f qps/core over %d cores)\n", qps, qps/float64(cores), cores)
 
 	quantile, from := reg.Histogram("replay.rtt_seconds", obs.FineLatencyBuckets).Snap().Quantile, "wire RTT"
-	var worst time.Duration
+	lagQuantile := reg.Histogram("replay.send_lag_seconds", obs.FineLatencyBuckets).Snap().Quantile
+	worst := ""
 	if len(rep.Results) > 0 {
-		var lat []float64
+		var lat, lag []float64
 		for _, r := range rep.Results {
-			worst = max(worst, r.SentOffset-r.TraceOffset, r.TraceOffset-r.SentOffset)
+			e := r.SentOffset - r.TraceOffset
+			lag = append(lag, max(e, -e).Seconds())
 			if r.RTT >= 0 {
-				lat = append(lat, (r.SentOffset - r.TraceOffset + r.RTT).Seconds())
+				lat = append(lat, (e + r.RTT).Seconds())
 			}
 		}
 		slices.Sort(lat)
+		slices.Sort(lag)
 		if len(lat) == 0 {
 			lat = []float64{0} // nothing answered reads 0, as the histogram does
 		}
 		quantile, from = func(q float64) float64 { return metrics.Percentile(lat, q) }, "from intended send"
+		lagQuantile = func(q float64) float64 { return metrics.Percentile(lag, q) }
+		worst = "  worst " + fmtSecs(lag[len(lag)-1])
 	}
 	fmt.Fprintf(&b, "latency:     p50 %s  p90 %s  p99 %s  (%s)\n",
 		fmtSecs(quantile(0.50)), fmtSecs(quantile(0.90)), fmtSecs(quantile(0.99)), from)
-	if len(rep.Results) > 0 {
-		fmt.Fprintf(&b, "timing:      worst send-time error %v\n", worst)
-	}
+	fmt.Fprintf(&b, "timing:      send-time error p50 %s  p99 %s%s\n",
+		fmtSecs(lagQuantile(0.50)), fmtSecs(lagQuantile(0.99)), worst)
 	_, err := io.WriteString(out, b.String())
 	return err
 }
 
-// fmtSecs renders a latency quantile with sub-millisecond resolution.
+// fmtSecs renders a duration in seconds to 100 ns below 10 µs, where a
+// paced send's error sits, and to 1 µs above.
 func fmtSecs(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
+	d := time.Duration(s * float64(time.Second))
+	if d < 10*time.Microsecond {
+		return d.Round(100 * time.Nanosecond).String()
+	}
+	return d.Round(time.Microsecond).String()
 }

@@ -13,6 +13,7 @@ import (
 
 	"ldplayer/internal/obs"
 	"ldplayer/internal/pcap"
+	"ldplayer/internal/replay"
 	"ldplayer/internal/server"
 	"ldplayer/internal/trace"
 	"ldplayer/internal/transport"
@@ -211,6 +212,48 @@ func TestCyclicValidation(t *testing.T) {
 	} {
 		if _, err := runArgs(t, nil, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: got error %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestReportTiming: the timing line gives the send-time error's p50 and
+// p99, from the results (with the worst, early or late) or, results
+// dropped, from the send-lag histogram; durations print to 100 ns below
+// 10 µs and to 1 µs above.
+func TestReportTiming(t *testing.T) {
+	for s, want := range map[float64]string{0.43e-6: "400ns", 7.36e-6: "7.4µs", 31.4e-6: "31µs", 1.2345e-3: "1.235ms"} {
+		if got := fmtSecs(s); got != want {
+			t.Errorf("fmtSecs(%v) = %s, want %s", s, got, want)
+		}
+	}
+	kept := &replay.Report{}
+	for i := range 99 {
+		at := time.Duration(i) * time.Millisecond
+		kept.Results = append(kept.Results, replay.QueryResult{TraceOffset: at, SentOffset: at + 400*time.Nanosecond, RTT: -1})
+	}
+	kept.Results = append(kept.Results,
+		replay.QueryResult{TraceOffset: time.Second, SentOffset: time.Second - 12300*time.Nanosecond, RTT: -1},
+		replay.QueryResult{TraceOffset: 2 * time.Second, SentOffset: 2*time.Second + 35*time.Microsecond, RTT: -1})
+	dropped, reg := &replay.Report{}, obs.NewRegistry()
+	lag := reg.Histogram("replay.send_lag_seconds", obs.FineLatencyBuckets)
+	for range 99 {
+		lag.ObserveDuration(400 * time.Nanosecond)
+	}
+	lag.ObserveDuration(7 * time.Microsecond)
+	for _, tc := range []struct {
+		name string
+		rep  *replay.Report
+		want string
+	}{
+		{"results", kept, "timing:      send-time error p50 400ns  p99 12µs  worst 35µs\n"},
+		{"histogram", dropped, "timing:      send-time error p50 400ns  p99 500ns\n"},
+	} {
+		var out strings.Builder
+		if err := printReport(&out, tc.rep, reg); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.want, out.String())
 		}
 	}
 }

@@ -86,7 +86,7 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is overflow
 	count  atomic.Uint64
-	sumUs  atomic.Int64 // sum in micro-units (value × 1e6) to stay atomic
+	sumNs  atomic.Int64 // sum in nano-units (value × 1e9) to stay atomic
 }
 
 // newHistogram builds a histogram over the given bucket bounds; bounds
@@ -104,7 +104,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sumUs.Add(int64(v * 1e6))
+	h.sumNs.Add(int64(v * 1e9))
 }
 
 // ObserveDuration records a duration in seconds.
@@ -122,7 +122,7 @@ type HistogramBatch struct {
 	boundsNs []int64 // bucket bounds in nanoseconds
 	counts   []uint64
 	n        uint64
-	sumUs    int64
+	sumNs    int64
 }
 
 // NewBatch builds a local accumulator bound to h. Not safe for
@@ -144,7 +144,7 @@ func (b *HistogramBatch) ObserveDuration(d time.Duration) {
 	}
 	b.counts[i]++
 	b.n++
-	b.sumUs += v / 1e3
+	b.sumNs += v
 }
 
 // Flush folds the pending samples into the shared Histogram.
@@ -159,15 +159,15 @@ func (b *HistogramBatch) Flush() {
 		}
 	}
 	b.h.count.Add(b.n)
-	b.h.sumUs.Add(b.sumUs)
-	b.n, b.sumUs = 0, 0
+	b.h.sumNs.Add(b.sumNs)
+	b.n, b.sumNs = 0, 0
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return float64(h.sumUs.Load()) / 1e6 }
+func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
 
 // LatencyBuckets is the default bucket set for DNS latencies: 100 µs to
 // 10 s, roughly ×2.5 per step — covering loopback RTTs, the paper's
@@ -177,7 +177,11 @@ var LatencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// FineLatencyBuckets extends LatencyBuckets down to 10 µs for the
-// replay client's schedule lag and loopback RTT, whose medians sit
-// below LatencyBuckets' first bound.
-var FineLatencyBuckets = append([]float64{0.00001, 0.000025, 0.00005}, LatencyBuckets...)
+// FineLatencyBuckets extends LatencyBuckets down to 250 ns for the
+// replay client's schedule lag, pacer wakes and loopback RTT, whose
+// medians sit below LatencyBuckets' first bound: a paced send is late
+// by well under a microsecond, a timer wake by several.
+var FineLatencyBuckets = append([]float64{
+	0.00000025, 0.0000005, 0.000001, 0.0000025, 0.000005,
+	0.00001, 0.000025, 0.00005,
+}, LatencyBuckets...)

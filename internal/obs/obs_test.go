@@ -108,6 +108,25 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestFineBucketsResolveSubMicrosecond: on FineLatencyBuckets a send
+// 0.4 µs late and one 7 µs late read as different medians, and the sum
+// keeps the sub-microsecond part.
+func TestFineBucketsResolveSubMicrosecond(t *testing.T) {
+	r := NewRegistry()
+	p50 := func(name string, d time.Duration) float64 {
+		h := r.Histogram(name, FineLatencyBuckets)
+		h.ObserveDuration(d)
+		return r.Snapshot().Histograms[name].Quantile(0.5)
+	}
+	sub, late := p50("t.sub_seconds", 400*time.Nanosecond), p50("t.late_seconds", 7*time.Microsecond)
+	if sub >= late || sub > 0.5e-6 || late < 5e-6 {
+		t.Errorf("p50 of 0.4µs = %v s, of 7µs = %v s: want them in (0.25, 0.5] and (5, 10] µs", sub, late)
+	}
+	if sum := r.Snapshot().Histograms["t.sub_seconds"].Sum; sum != 400e-9 {
+		t.Errorf("sum of one 0.4µs observation = %v s", sum)
+	}
+}
+
 // TestSnapshotWhileWriting snapshots continuously while writers run;
 // under -race this proves the read path takes no locks it shouldn't and
 // tears no values.

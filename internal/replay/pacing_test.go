@@ -74,6 +74,18 @@ func TestPacerAccuracy(t *testing.T) {
 // over the echo fabric (no sockets: the only fds the engine opens are
 // the pacers').
 func timedEchoRun(t *testing.T, queriers, perSec int, dur time.Duration) *Report {
+	return echoRun(t, Config{
+		Server:                 fabricServer,
+		Dialer:                 echoFabric{},
+		Distributors:           1,
+		QueriersPerDistributor: queriers,
+		ResponseTimeout:        250 * time.Millisecond,
+	}, perSec, dur)
+}
+
+// echoRun replays a perSec-a-second schedule of dur through an engine
+// built from cfg.
+func echoRun(t *testing.T, cfg Config, perSec int, dur time.Duration) *Report {
 	t.Helper()
 	n := int(dur.Seconds() * float64(perSec))
 	events := benchEvents(t, 16, n)
@@ -82,13 +94,7 @@ func timedEchoRun(t *testing.T, queriers, perSec int, dur time.Duration) *Report
 		cp.Time = time.Unix(0, 0).Add(time.Duration(i) * time.Second / time.Duration(perSec))
 		events[i] = &cp
 	}
-	eng, err := New(Config{
-		Server:                 fabricServer,
-		Dialer:                 echoFabric{},
-		Distributors:           1,
-		QueriersPerDistributor: queriers,
-		ResponseTimeout:        250 * time.Millisecond,
-	})
+	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +118,31 @@ func TestTimedReplayNeverEarly(t *testing.T) {
 	}
 	if len(rep.Results) == 0 || earliest < 0 {
 		t.Errorf("min(SentOffset − TraceOffset) = %v over %d results, want ≥ 0", earliest, len(rep.Results))
+	}
+}
+
+// TestPacerYieldOnlyWhenPaced: every Timed wait lands in
+// replay.pacer.yield_seconds, and a FastAsPossible run of the same
+// schedule, which never reaches the pacer, records no yield time.
+func TestPacerYieldOnlyWhenPaced(t *testing.T) {
+	for _, mode := range []Mode{Timed, FastAsPossible} {
+		reg := obs.NewRegistry()
+		echoRun(t, Config{
+			Server:                 fabricServer,
+			Dialer:                 echoFabric{},
+			Mode:                   mode,
+			Distributors:           1,
+			QueriersPerDistributor: 2,
+			ResponseTimeout:        250 * time.Millisecond,
+			Obs:                    reg,
+		}, 2000, 100*time.Millisecond)
+		y := reg.Snapshot().Histograms["replay.pacer.yield_seconds"]
+		if mode == Timed && y.Count == 0 {
+			t.Error("a Timed run at 2 kq/s recorded no pacer waits")
+		}
+		if mode == FastAsPossible && (y.Count != 0 || y.Sum != 0) {
+			t.Errorf("FastAsPossible recorded %d yields, %v s", y.Count, y.Sum)
+		}
 	}
 }
 

@@ -151,7 +151,8 @@ func (q *querier) pace(offset time.Duration) (time.Time, bool) {
 	q.lastOffset = offset
 	if wait > 0 {
 		q.flush()
-		if !q.sleep(wait) {
+		q.st.pacerSleeps.Inc()
+		if !q.sleeper.Sleep(wait) {
 			return time.Time{}, false
 		}
 	}
@@ -160,42 +161,28 @@ func (q *querier) pace(offset time.Duration) (time.Time, bool) {
 
 // sleepUntil is the Timed pacer: it blocks until offset past realStart
 // and returns the clock reading it woke with, reporting false if the
-// context ended first. It never returns early — after any wake it
-// re-reads the clock and waits out the remainder. A query already due
-// passes without touching the timer, so a lane running behind pays one
-// clock read and queries due together share one wake. Measuring from
-// the controller's realStart absorbs the time input processing and
-// distribution took: the paper's compensation, ΔTᵢ = Δt̄ᵢ − Δtᵢ.
+// context ended first. It never returns early (see Sleeper.SleepUntil).
+// A query already due passes without touching the timer, so a lane
+// running behind pays one clock read and queries due together share one
+// wake. Measuring from the controller's realStart absorbs the time input
+// processing and distribution took: the paper's compensation,
+// ΔTᵢ = Δt̄ᵢ − Δtᵢ.
 func (q *querier) sleepUntil(offset time.Duration) (time.Time, bool) {
 	deadline := q.realStart.Add(offset)
-	now := time.Now()
-	if !now.Before(deadline) {
+	if now := time.Now(); !now.Before(deadline) {
 		return now, true
 	}
 	// Staged datagrams go out before the querier parks, so no query
 	// waits on a later one's deadline; the write's time comes off the
 	// wait, not on top of it.
 	q.flush()
-	now = time.Now()
-	wait := deadline.Sub(now)
-	if wait <= 0 {
-		return now, true
+	w, ok := q.sleeper.SleepUntil(deadline)
+	if ok {
+		q.st.pacerSleeps.Add(uint64(w.Parks))
+		q.st.pacerOversleep.ObserveDuration(w.At.Sub(deadline))
+		q.st.pacerYield.ObserveDuration(w.Yield)
 	}
-	for wait > 0 {
-		if !q.sleep(wait) {
-			return now, false
-		}
-		now = time.Now()
-		wait = deadline.Sub(now)
-	}
-	q.st.pacerOversleep.ObserveDuration(-wait)
-	return now, true
-}
-
-// sleep blocks for d: one timer arm.
-func (q *querier) sleep(d time.Duration) bool {
-	q.st.pacerSleeps.Inc()
-	return q.sleeper.Sleep(d)
+	return w.At, ok
 }
 
 // stage hands one UDP query to the sender, opening it on first use.

@@ -42,10 +42,13 @@ type stats struct {
 	// (the paper's ΔTᵢ error, Fig 6); Timed mode keeps it near zero.
 	sendLag *obs.Histogram
 	// The pacer's account separates "the timer was late" from "queued
-	// behind earlier sends": timer arms, wake − deadline, timerfd refusals.
+	// behind earlier sends": timer arms, wake − deadline, timerfd
+	// refusals, and the time each wait yielded out after its park — the
+	// CPU traded for waking on time.
 	pacerSleeps    *obs.Counter
 	pacerOversleep *obs.Histogram
 	pacerFallback  *obs.Counter
+	pacerYield     *obs.Histogram
 	// traceOffset/wallOffset are the replay clocks: the trace timestamp
 	// most recently scheduled and the wall time consumed reaching it.
 	// Their ratio is achieved vs. scheduled send rate; their difference
@@ -74,6 +77,7 @@ func newStats(reg *obs.Registry) *stats {
 		pacerSleeps:    reg.Counter("replay.pacer.sleeps"),
 		pacerOversleep: reg.Histogram("replay.pacer.oversleep_seconds", obs.FineLatencyBuckets),
 		pacerFallback:  reg.Counter("replay.pacer.fallback"),
+		pacerYield:     reg.Histogram("replay.pacer.yield_seconds", obs.FineLatencyBuckets),
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -15,8 +16,10 @@ import (
 // a mostly idle process: the runtime services timers from the poller's
 // wait, whose timeout it rounds up to whole milliseconds.
 //
-// Any wake may be late; the caller re-reads the clock. Once ctx is done
-// every wait, present and future, ends at once.
+// A park and wake costs several microseconds on an idle core, so
+// SleepUntil parks only to just short of a deadline and yields out the
+// rest; Sleep is the bare park, and any of its wakes may be late. Once
+// ctx is done every wait, present and future, ends at once.
 type Sleeper struct {
 	ctx   context.Context
 	timer *time.Timer // fallback path
@@ -26,7 +29,23 @@ type Sleeper struct {
 	fd     uintptr
 	buf    [8]byte     // the expiration count a fired timerfd reads as
 	unhook func() bool // detaches the interrupt below from ctx
+	// margin is how far short of its deadline SleepUntil parks, learnt
+	// from this Sleeper's own wakes; within [marginStep, maxYieldMargin].
+	margin time.Duration
 }
+
+// The yield margin's rule. A wake past the deadline grows it by two
+// steps, one that had to yield shrinks it by one, so it settles where a
+// third of the wakes come late: the median query is sent within a yield
+// of its deadline, and the CPU spent yielding stays a few microseconds a
+// wait. maxYieldMargin caps the yield, whatever the wakes: a yielding
+// goroutine sits on the global run queue, which the scheduler serves
+// before it polls the network, so replies landing during a long yield
+// wait for it to end.
+const (
+	marginStep     = time.Microsecond
+	maxYieldMargin = 50 * time.Microsecond
+)
 
 // NewSleeper returns a Sleeper bound to ctx. The Sleeper is usable even
 // with a non-nil error, which says the timerfd was refused (fd limit,
@@ -35,7 +54,7 @@ func NewSleeper(ctx context.Context) (*Sleeper, error) { return newSleeper(ctx, 
 
 func newSleeper(ctx context.Context, open func() (*os.File, uintptr, error)) (*Sleeper, error) {
 	// The timer is born spent, fired and drained; Sleep re-arms it.
-	s := &Sleeper{ctx: ctx, timer: time.NewTimer(0)}
+	s := &Sleeper{ctx: ctx, timer: time.NewTimer(0), margin: marginStep}
 	<-s.timer.C
 	f, fd, err := open()
 	if f != nil {
@@ -69,6 +88,50 @@ func (s *Sleeper) Sleep(d time.Duration) bool {
 		s.timer.Stop()
 		return false
 	}
+}
+
+// Wake is what one SleepUntil did.
+type Wake struct {
+	At    time.Time     // the last clock reading: past the deadline unless ctx ended
+	Parks int           // timer arms
+	Yield time.Duration // time spent yielding out the rest
+}
+
+// SleepUntil blocks until the clock reads deadline or later, and reports
+// false if ctx ended first. It parks until deadline − margin (phase 1),
+// then runtime.Gosched()s and re-reads the clock until the deadline
+// (phase 2), checking ctx on each pass. It never returns early: every
+// wake re-reads the clock. Each park's wake moves the margin (see
+// maxYieldMargin).
+func (s *Sleeper) SleepUntil(deadline time.Time) (Wake, bool) {
+	var w Wake
+	now := time.Now()
+	for park := deadline.Sub(now) - s.margin; park > 0; park = deadline.Sub(now) - s.margin {
+		w.Parks++
+		if !s.Sleep(park) {
+			w.At = now
+			return w, false
+		}
+		now = time.Now()
+	}
+	if w.Parks > 0 {
+		if now.Before(deadline) {
+			s.margin = max(s.margin-marginStep, marginStep)
+		} else {
+			s.margin = min(s.margin+2*marginStep, maxYieldMargin)
+		}
+	}
+	start := now
+	for now.Before(deadline) {
+		if s.ctx.Err() != nil {
+			w.At = now
+			return w, false
+		}
+		runtime.Gosched()
+		now = time.Now()
+	}
+	w.At, w.Yield = now, now.Sub(start)
+	return w, true
 }
 
 // Close releases the timerfd; the timer is never left pending.
