@@ -25,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ldp-experiments: ")
 
-	run := flag.String("run", "all", "experiment id (table1, fig6..fig15c, ablation) or 'all'")
+	run := flag.String("run", "all", "experiment id ("+strings.Join(experiments.IDs, ", ")+") or 'all'")
 	scaleName := flag.String("scale", "small", "tiny | small | large")
 	sites := flag.Int("sites", 0, "site count k for cluster-anycast (0 sweeps k=1,2,4,8)")
 	// Accept the experiment id as a leading positional argument too

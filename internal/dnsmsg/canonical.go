@@ -10,15 +10,10 @@ func AppendRData(buf []byte, d RData) ([]byte, error) {
 // AppendCanonicalRR serializes a full RR in RFC 4034 §6 canonical form:
 // owner and embedded names uncompressed and lowercase, for use in RRSIG
 // computation and DS digests. Owner names are already canonical-lowercase
-// in this codec, so the distinction from AppendRR is the absence of
+// in this codec, so what canonical form adds is the absence of
 // compression in rdata.
 func AppendCanonicalRR(buf []byte, rr RR) ([]byte, error) {
 	return appendRR(buf, rr, nil, true)
-}
-
-// AppendRR serializes a full RR without message context (no compression).
-func AppendRR(buf []byte, rr RR) ([]byte, error) {
-	return appendRR(buf, rr, nil, false)
 }
 
 // AppendNameWire serializes just a domain name in uncompressed wire form

@@ -102,31 +102,54 @@ func (r *Result) Render() string {
 	return sb.String()
 }
 
-// All runs every experiment at the given scale, in paper order.
+// experiment is one entry of the registry.
+type experiment struct {
+	id    string
+	run   func(Scale) (*Result, error)
+	paper bool // a table or figure of the paper: All runs it
+}
+
+// registry lists every experiment ByID runs: the paper's tables and
+// figures in paper order, then this reproduction's own.
+var registry = []experiment{
+	{"table1", Table1, true},
+	{"fig6", Fig6TimingError, true},
+	{"fig7", Fig7InterArrivalCDF, true},
+	{"fig8", Fig8RateDifference, true},
+	{"fig9", Fig9Throughput, true},
+	{"fig10", Fig10DNSSECBandwidth, true},
+	{"fig11", Fig11CPUUsage, true},
+	{"fig13", Fig13TCPFootprint, true},
+	{"fig14", Fig14TLSFootprint, true},
+	{"fig15a", Fig15aLatencyAllClients, true},
+	{"fig15b", Fig15bLatencyNonBusy, true},
+	{"fig15c", Fig15cClientLoadCDF, true},
+	{"ablation", Ablations, false},
+	{"dos", DoSOverload, false},
+	{"live-footprint", LiveFootprint, false},
+	{"cluster-anycast", ClusterAnycast, false},
+}
+
+// IDs lists every id ByID accepts, in registry order.
+var IDs = func() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}()
+
+// All runs every table and figure of the paper at the given scale, in
+// paper order.
 func All(sc Scale) ([]*Result, error) {
-	type runner struct {
-		id string
-		fn func(Scale) (*Result, error)
-	}
-	runners := []runner{
-		{"table1", Table1},
-		{"fig6", Fig6TimingError},
-		{"fig7", Fig7InterArrivalCDF},
-		{"fig8", Fig8RateDifference},
-		{"fig9", Fig9Throughput},
-		{"fig10", Fig10DNSSECBandwidth},
-		{"fig11", Fig11CPUUsage},
-		{"fig13", Fig13TCPFootprint},
-		{"fig14", Fig14TLSFootprint},
-		{"fig15a", Fig15aLatencyAllClients},
-		{"fig15b", Fig15bLatencyNonBusy},
-		{"fig15c", Fig15cClientLoadCDF},
-	}
 	var out []*Result
-	for _, r := range runners {
-		res, err := r.fn(sc)
+	for _, e := range registry {
+		if !e.paper {
+			continue
+		}
+		res, err := e.run(sc)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", r.id, err)
+			return out, fmt.Errorf("%s: %w", e.id, err)
 		}
 		out = append(out, res)
 	}
@@ -135,39 +158,19 @@ func All(sc Scale) ([]*Result, error) {
 
 // ByID runs one experiment by identifier.
 func ByID(id string, sc Scale) (*Result, error) {
-	switch id {
-	case "table1":
-		return Table1(sc)
-	case "fig6":
-		return Fig6TimingError(sc)
-	case "fig7":
-		return Fig7InterArrivalCDF(sc)
-	case "fig8":
-		return Fig8RateDifference(sc)
-	case "fig9":
-		return Fig9Throughput(sc)
-	case "fig10":
-		return Fig10DNSSECBandwidth(sc)
-	case "fig11":
-		return Fig11CPUUsage(sc)
-	case "fig13":
-		return Fig13TCPFootprint(sc)
-	case "fig14":
-		return Fig14TLSFootprint(sc)
-	case "fig15a":
-		return Fig15aLatencyAllClients(sc)
-	case "fig15b":
-		return Fig15bLatencyNonBusy(sc)
-	case "fig15c":
-		return Fig15cClientLoadCDF(sc)
-	case "ablation":
-		return Ablations(sc)
-	case "dos":
-		return DoSOverload(sc)
-	case "live-footprint":
-		return LiveFootprint(sc)
-	case "cluster-anycast":
-		return ClusterAnycast(sc)
+	run := lookup(id)
+	if run == nil {
+		return nil, fmt.Errorf("experiments: unknown id %q", id)
 	}
-	return nil, fmt.Errorf("experiments: unknown id %q", id)
+	return run(sc)
+}
+
+// lookup returns the runner registered under id, or nil.
+func lookup(id string) func(Scale) (*Result, error) {
+	for _, e := range registry {
+		if e.id == id {
+			return e.run
+		}
+	}
+	return nil
 }

@@ -87,6 +87,35 @@ func TestClusterAnycastExplicitSites(t *testing.T) {
 	}
 }
 
+// TestRegistry: every id the CLI's help lists resolves to one registry
+// entry, and All runs exactly the paper's tables and figures, in paper
+// order.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, id := range IDs {
+		if seen[id] {
+			t.Errorf("id %q listed twice", id)
+		}
+		seen[id] = true
+		if lookup(id) == nil {
+			t.Errorf("listed id %q does not resolve", id)
+		}
+	}
+	if len(IDs) != len(registry) {
+		t.Errorf("%d ids listed, %d registered", len(IDs), len(registry))
+	}
+	var paper []string
+	for _, e := range registry {
+		if e.paper {
+			paper = append(paper, e.id)
+		}
+	}
+	want := "table1 fig6 fig7 fig8 fig9 fig10 fig11 fig13 fig14 fig15a fig15b fig15c"
+	if got := strings.Join(paper, " "); got != want {
+		t.Errorf("All runs %q, want %q", got, want)
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID("fig99", Tiny); err == nil {
 		t.Error("unknown id accepted")

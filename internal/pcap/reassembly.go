@@ -115,8 +115,5 @@ func (st *flowState) extract() [][]byte {
 	}
 }
 
-// Flows reports how many flows have state.
-func (ra *Reassembler) Flows() int { return len(ra.flows) }
-
 // seqLess compares TCP sequence numbers with wraparound.
 func seqLess(a, b uint32) bool { return int32(a-b) < 0 }

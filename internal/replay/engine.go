@@ -161,81 +161,30 @@ func runBatched(ctx context.Context, cfg Config, st *stats, input trace.Reader) 
 	return reports, readErr
 }
 
-// levelList tracks per-lane load with an incrementally-maintained exact
-// minimum, exploiting that loads only ever increase: keep the current
-// minimum level and the (index-ordered) list of lanes that sat at that
-// level when it was last scanned. place takes the next candidate whose
-// load still equals the level (entries a bumped lane left behind are
-// skipped); when the level drains, one O(lanes) rescan finds the next.
-// Amortized O(1) per placement versus a full scan, and the lowest-index
-// tie-break — which the affinity tests pin down — is preserved because
-// candidates are built and consumed in index order.
-type levelList struct {
-	load    []int
-	minLoad int
-	cand    []int // lanes at minLoad as of the last rescan, index order
-	cursor  int   // next candidate to try
-}
-
-func newLevelList(n int) *levelList {
-	l := &levelList{load: make([]int, n), cand: make([]int, n)}
-	for i := range l.cand {
-		l.cand[i] = i
-	}
-	return l
-}
-
-// bump records one more query on an already-assigned lane.
-func (l *levelList) bump(lane int) { l.load[lane]++ }
-
-// place assigns a new source: the least-loaded lane, lowest index first.
-func (l *levelList) place() int {
-	for {
-		for l.cursor < len(l.cand) {
-			lane := l.cand[l.cursor]
-			l.cursor++
-			if l.load[lane] == l.minLoad {
-				l.load[lane]++
-				return lane
-			}
-			// Stale: this lane was bumped past the level by a sticky hit.
-		}
-		// Level drained — rescan for the new minimum.
-		min := l.load[0]
-		for _, ld := range l.load[1:] {
-			if ld < min {
-				min = ld
-			}
-		}
-		l.minLoad = min
-		l.cand = l.cand[:0]
-		for i, ld := range l.load {
-			if ld == min {
-				l.cand = append(l.cand, i)
-			}
-		}
-		l.cursor = 0
-	}
-}
-
 // sticky assigns sources to lanes: the first sighting picks the
-// least-loaded lane, later queries from the same source always follow —
-// the paper's "recent query source address in record" rule.
+// least-loaded lane, lowest index first, and later queries from the
+// same source always follow — the paper's "recent query source address
+// in record" rule. A source is placed once, so the scan over the lanes
+// (the queriers, a handful) runs once per source.
 type sticky struct {
 	assign map[netip.Addr]int
-	ll     *levelList
+	load   []int
 }
 
 func newSticky(n int) *sticky {
-	return &sticky{assign: make(map[netip.Addr]int), ll: newLevelList(n)}
+	return &sticky{assign: make(map[netip.Addr]int), load: make([]int, n)}
 }
 
 func (s *sticky) pick(src netip.Addr) int {
-	if lane, ok := s.assign[src]; ok {
-		s.ll.bump(lane)
-		return lane
+	lane, ok := s.assign[src]
+	if !ok {
+		for i, l := range s.load {
+			if l < s.load[lane] {
+				lane = i
+			}
+		}
+		s.assign[src] = lane
 	}
-	lane := s.ll.place()
-	s.assign[src] = lane
+	s.load[lane]++
 	return lane
 }

@@ -241,42 +241,3 @@ func TestBatchedDistributionSameSourceFIFO(t *testing.T) {
 		t.Fatalf("delivered %d queries, want %d", total, sources*perSource)
 	}
 }
-
-// TestStickyLevelListMatchesScan: the incremental minimum must make the
-// same choices as the O(lanes) argmin scan it replaced, under a mix of
-// new sources and sticky hits.
-func TestStickyLevelListMatchesScan(t *testing.T) {
-	const lanes = 5
-	s := newSticky(lanes)
-	load := make([]int, lanes) // model: plain argmin
-	assign := map[netip.Addr]int{}
-	pickModel := func(src netip.Addr) int {
-		if lane, ok := assign[src]; ok {
-			load[lane]++
-			return lane
-		}
-		best := 0
-		for i, l := range load {
-			if l < load[best] {
-				best = i
-			}
-			_ = i
-		}
-		assign[src] = best
-		load[best]++
-		return best
-	}
-	// Deterministic mix: every 3rd pick revisits an old source (uneven
-	// sticky load), the rest are new.
-	for i := 0; i < 2000; i++ {
-		var src netip.Addr
-		if i%3 == 0 && i > 0 {
-			src = netip.AddrFrom4([4]byte{10, 9, byte(i % 7), byte(i % 11)})
-		} else {
-			src = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		}
-		if got, want := s.pick(src), pickModel(src); got != want {
-			t.Fatalf("pick %d (src %v): lane %d, scan model says %d", i, src, got, want)
-		}
-	}
-}

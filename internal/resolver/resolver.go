@@ -49,10 +49,6 @@ type Config struct {
 	EDNSSize uint16
 	// DO sets the DNSSEC-OK bit on upstream queries.
 	DO bool
-	// MaxReferrals bounds hierarchy depth per query (default 16).
-	MaxReferrals int
-	// MaxCNAME bounds alias chains per query (default 8).
-	MaxCNAME int
 	// Tap, when set, sees every upstream exchange.
 	Tap Tap
 }
@@ -80,12 +76,6 @@ func New(cfg Config) (*Resolver, error) {
 	if cfg.Exchange == nil {
 		return nil, errors.New("resolver: no exchanger")
 	}
-	if cfg.MaxReferrals == 0 {
-		cfg.MaxReferrals = 16
-	}
-	if cfg.MaxCNAME == 0 {
-		cfg.MaxCNAME = 8
-	}
 	c := cfg.Cache
 	if c == nil {
 		c = cache.New(0)
@@ -103,6 +93,13 @@ func (r *Resolver) Resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.
 	return r.resolve(ctx, qname, qtype, 0, 0)
 }
 
+// Per-query bounds: referrals followed down the hierarchy, and alias
+// hops in a CNAME chain.
+const (
+	maxReferrals = 16
+	maxCNAME     = 8
+)
+
 // maxGlueless bounds how deeply resolving one glue-less nameserver name
 // may need another: two zones whose glue-less NS names point at each
 // other would otherwise recurse without end.
@@ -111,7 +108,7 @@ const maxGlueless = 4
 // resolve is Resolve inside cnameDepth alias hops and glueless nested
 // nameserver-name resolutions.
 func (r *Resolver) resolve(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cnameDepth, glueless int) (*dnsmsg.Msg, error) {
-	if cnameDepth > r.cfg.MaxCNAME {
+	if cnameDepth > maxCNAME {
 		return nil, ErrCNAMEChain
 	}
 	key := cache.Key{Name: qname, Type: qtype}
@@ -166,7 +163,7 @@ func (r *Resolver) closestCut(name dnsmsg.Name) (dnsmsg.Name, []netip.AddrPort) 
 // referrals down to a terminal response: an answer, NXDOMAIN or NODATA.
 // lame reports that every server of cut itself failed.
 func (r *Resolver) walk(ctx context.Context, qname dnsmsg.Name, qtype dnsmsg.Type, cut dnsmsg.Name, servers []netip.AddrPort, glueless int) (resp *dnsmsg.Msg, lame bool, err error) {
-	for depth := 0; depth < r.cfg.MaxReferrals; depth++ {
+	for depth := 0; depth < maxReferrals; depth++ {
 		if resp, err = r.queryAny(ctx, servers, qname, qtype); err != nil {
 			return nil, depth == 0, err
 		}

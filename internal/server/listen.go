@@ -85,12 +85,6 @@ func (s *Server) ServeTLS(ctx context.Context, ln net.Listener, cfg *tls.Config)
 	return s.serveStream(ctx, transport.NewStreamListener(tls.NewListener(ln, cfg)), s.stats.tlsConnsOpen, s.stats.tlsConnsTotal, s.stats.tlsQueries)
 }
 
-// ServeStream serves an already-framed transport.Listener — the hook for
-// running the server over non-socket fabrics (vnet) or custom framing.
-func (s *Server) ServeStream(ctx context.Context, ln transport.Listener) error {
-	return s.serveStream(ctx, ln, s.stats.tcpConnsOpen, s.stats.tcpConnsTotal, s.stats.tcpQueries)
-}
-
 func (s *Server) serveStream(ctx context.Context, ln transport.Listener, open *obs.Gauge, total, queries *obs.Counter) error {
 	stop := context.AfterFunc(ctx, func() { ln.Close() }) //ldp:nolint errcheck — cancel-path teardown; Accept returns the close error
 	defer stop()

@@ -19,7 +19,8 @@ import (
 // then run the ordinary streaming parser over their chunk with that
 // state injected, and the merge adds chunk results to the zone strictly
 // in chunk order — so the resulting Zone, and any error, are identical
-// to a sequential Parse for every worker count and chunk size.
+// to one sequential pass (buildZone) for every worker count and chunk
+// size.
 
 // chunk is one worker's slice of the input plus the parser state in
 // effect where it starts.
@@ -57,8 +58,9 @@ type recLine struct {
 }
 
 // ParseParallel reads all of r and parses it with the given number of
-// workers (<= 0 means GOMAXPROCS). The result — zone contents and any
-// error, byte for byte — is identical to Parse.
+// workers (<= 0 means GOMAXPROCS; Parse is ParseParallel with 0). The
+// result — zone contents and any error, byte for byte — is identical
+// for every worker count.
 func ParseParallel(r io.Reader, origin dnsmsg.Name, workers int) (*Zone, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

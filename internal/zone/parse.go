@@ -16,16 +16,18 @@ import (
 // ';' comments, quoted TXT strings, and the record types this codec
 // models. origin may be "" when the file carries its own $ORIGIN.
 //
-// Parse is a thin wrapper over the streaming byte-slice tokenizer
-// (stream.go); unlike the reference parser (reference_test.go) it has
-// no line-length limit. For large files, ParseParallel splits the work
-// across cores.
+// Parse is ParseParallel over GOMAXPROCS workers: it reads all of r,
+// then runs the byte-slice tokenizer (stream.go), split across cores
+// when the input is large. Unlike the reference parser
+// (reference_test.go) it has no line-length limit. A read error is
+// returned as is, ahead of any syntax error in the bytes before it.
 func Parse(r io.Reader, origin dnsmsg.Name) (*Zone, error) {
-	return buildZone(NewStreamParser(r, origin))
+	return ParseParallel(r, origin, 0)
 }
 
-// buildZone drains a StreamParser into a Zone, replicating the
-// reference parser's lazy zone creation and error wrapping.
+// buildZone drains a StreamParser into a Zone in one sequential pass,
+// replicating the reference parser's lazy zone creation and error
+// wrapping.
 func buildZone(sp *StreamParser) (*Zone, error) {
 	var rec Rec
 	var z *Zone
@@ -57,9 +59,10 @@ func buildZone(sp *StreamParser) (*Zone, error) {
 	return z, nil
 }
 
-// ParseString is Parse over a string, for tests and embedded zones.
+// ParseString is Parse over a string, for tests and embedded zones: the
+// same loader, with no reader to drain.
 func ParseString(s string, origin dnsmsg.Name) (*Zone, error) {
-	return Parse(strings.NewReader(s), origin)
+	return parseParallel([]byte(s), origin, 0, 0)
 }
 
 // parseTTL parses a TTL: plain seconds or BIND unit suffixes (1h30m).

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"unsafe"
 
 	"ldplayer/internal/dnsmsg"
 )
 
 // This file implements the streaming master-file tokenizer: the
 // million-records/sec ingestion path behind Parse. The design follows
-// simdzone's "Parsing Millions of DNS Records per Second": read the
-// input in large chunks, tokenize on []byte without materializing
+// simdzone's "Parsing Millions of DNS Records per Second": hold the
+// whole input in memory, tokenize on []byte without materializing
 // per-token strings, and decode rdata into a per-record arena so the
 // steady state allocates nothing per record.
 //
@@ -23,27 +24,29 @@ import (
 // way PR 4 proved the arena codec against the reference decoder. Every
 // quirk of the reference — the line-scoped quote rules, the "" blank
 // owner marker, skipped token-less lines at depth 0, parseTTL's
-// unit-suffix wraparound, netip's address grammar — is replicated here
-// bit for bit; where a form is rare (RFC 3597 \#, TYPE###/CLASS###
-// fallbacks, IPv6 zones) this parser calls the same stdlib routines the
-// reference uses, so divergence is impossible by construction.
+// unit-suffix wraparound — is replicated here bit for bit. Addresses
+// and integer fields go to the very netip and strconv calls the
+// reference makes, read in place over the token's bytes; where a form
+// is rare (RFC 3597 \#, TYPE###/CLASS### fallbacks, quoted fields)
+// this parser calls the reference's stdlib routine on the reference's
+// token string, so divergence is impossible by construction.
 
-// tokRef locates one token. Tokens normally alias the parser's input
-// window (off relative to the start of the current record); quoted
-// tokens that needed escape processing live in the per-record arena
-// instead. A zero tokRef (n == 0, not quoted) is the blank-owner
-// marker, mirroring the reference tokenizer's "" token.
+// tokRef locates one token. Tokens normally alias the input (off is
+// an index into sp.buf); quoted tokens that needed escape processing
+// live in the per-record arena instead. A zero tokRef (n == 0, not
+// quoted) is the blank-owner marker, mirroring the reference
+// tokenizer's "" token.
 type tokRef struct {
 	off    int
 	n      int
 	quoted bool // came from a "..." string (reference prefixes these with \x00)
-	arena  bool // content lives in sp.arena, not the input window
+	arena  bool // content lives in sp.arena, not the input
 }
 
-// Rec is one parsed resource record, valid until the next Next or Reset
-// call on the StreamParser that produced it. All byte slices alias the
-// parser's internal buffers: callers that retain a record must copy
-// (RR() produces an independent dnsmsg.RR).
+// Rec is one parsed resource record, valid until the next Next or
+// ResetBytes call on the StreamParser that produced it. All byte slices
+// alias the parser's input and internal buffers: callers that retain a
+// record must copy (RR() produces an independent dnsmsg.RR).
 type Rec struct {
 	Line  int    // first line of the record in the input (1-based)
 	Owner []byte // canonical presentation form (lowercase FQDN)
@@ -70,25 +73,19 @@ type Rec struct {
 // mismatch against the reference parser.
 var errArenaGrew = errors.New("zone: internal error: arena grew during record decode")
 
-// StreamParser reads a master file record by record. The zero value is
-// not usable; construct with NewStreamParser and reuse via Reset to
+// StreamParser reads an in-memory master file record by record.
+// Construct with NewStreamParserBytes and reuse via ResetBytes to
 // amortize buffers across files.
 type StreamParser struct {
-	r   io.Reader
-	buf []byte
-	// Window state: buf[pos:end] is unconsumed input; buf[recStart:pos]
-	// holds the current record's already-scanned lines (tokens alias
-	// it). When parsing from memory (ResetBytes) buf is the whole input
-	// and never refills or compacts.
-	pos, end  int
+	// buf is the whole input: buf[pos:] is unconsumed, and
+	// buf[recStart:pos] holds the current record's already-scanned
+	// lines (tokens alias it).
+	buf       []byte
+	pos       int
 	recStart  int
-	eof       bool
-	noRefill  bool
-	readErr   error // deferred non-EOF read error, surfaced like sc.Err()
-	emptyRds  int   // consecutive zero-byte reads, like bufio.Scanner
-	line      int   // number of the most recently scanned line (1-based)
-	recLine   int   // first line of the current record
-	sawRecord bool  // a record's first line has been consumed
+	line      int  // number of the most recently scanned line (1-based)
+	recLine   int  // first line of the current record
+	sawRecord bool // a record's first line has been consumed
 
 	// Parser state, mirroring the reference parser struct.
 	origin    dnsmsg.Name
@@ -103,66 +100,36 @@ type StreamParser struct {
 
 	// One-entry cache for the last $ORIGIN argument parsed. ParseName
 	// is pure, so identical bytes give identical results; the cache
-	// survives Reset so that reparsing the same input (replay restarts,
-	// benchmarks) allocates nothing after the first pass.
+	// survives ResetBytes so that reparsing the same input (replay
+	// restarts, benchmarks) allocates nothing after the first pass.
 	dirCacheArg  []byte
 	dirCacheName dnsmsg.Name
 	dirCacheErr  error
 	dirCacheSet  bool
 }
 
-// NewStreamParser returns a parser reading records from r. origin may
-// be "" when the file carries its own $ORIGIN.
-func NewStreamParser(r io.Reader, origin dnsmsg.Name) *StreamParser {
-	sp := &StreamParser{}
-	sp.Reset(r, origin)
-	return sp
-}
-
 // NewStreamParserBytes parses directly from an in-memory buffer with no
-// copying of the input.
+// copying of the input. origin may be "" when the file carries its own
+// $ORIGIN.
 func NewStreamParserBytes(data []byte, origin dnsmsg.Name) *StreamParser {
 	sp := &StreamParser{}
 	sp.ResetBytes(data, origin)
 	return sp
 }
 
-// Reset rearms the parser for a new input, keeping its buffers.
-func (sp *StreamParser) Reset(r io.Reader, origin dnsmsg.Name) {
-	sp.resetState(origin)
-	sp.r = r
-	if sp.buf == nil {
-		sp.buf = make([]byte, 64*1024)
-	}
-	sp.pos, sp.end = 0, 0
-	sp.noRefill, sp.eof = false, false
-}
-
-// ResetBytes rearms the parser over an in-memory input.
+// ResetBytes rearms the parser over a new input, keeping its buffers.
 func (sp *StreamParser) ResetBytes(data []byte, origin dnsmsg.Name) {
-	sp.resetState(origin)
-	sp.r = nil
 	sp.buf = data
-	sp.pos, sp.end = 0, len(data)
-	sp.noRefill, sp.eof = true, true
-}
-
-func (sp *StreamParser) resetState(origin dnsmsg.Name) {
+	sp.pos, sp.recStart = 0, 0
+	sp.line, sp.recLine = 0, 0
+	sp.sawRecord = false
 	sp.origin = origin
 	sp.defTTL = 3600
 	sp.lastOwner = sp.lastOwner[:0]
 	sp.zoneSet = false
 	sp.zoneOrig = ""
-	sp.line, sp.recLine = 0, 0
-	sp.recStart = 0
-	sp.readErr, sp.err = nil, nil
-	sp.emptyRds = 0
-	sp.sawRecord = false
+	sp.err = nil
 	sp.toks = sp.toks[:0]
-	if sp.noRefill {
-		// The previous input is the caller's; drop the alias.
-		sp.buf = nil
-	}
 	sp.arena = sp.arena[:0]
 }
 
@@ -227,9 +194,6 @@ func (sp *StreamParser) scanRecord() (ok bool, err error) {
 		}
 		ls, le, haveLine := sp.nextLine()
 		if !haveLine {
-			if sp.readErr != nil {
-				return false, sp.readErr
-			}
 			if depth != 0 {
 				return false, fmt.Errorf("zone parse: unclosed '(' at EOF")
 			}
@@ -257,64 +221,25 @@ func (sp *StreamParser) scanRecord() (ok bool, err error) {
 }
 
 // nextLine produces the next line's span [ls, le) in sp.buf, with the
-// trailing "\r\n" handling of bufio.ScanLines. It refills the window as
-// needed; a line has no length limit (the buffer grows to fit, fixing
-// the reference parser's 1 MiB cap).
+// trailing "\r\n" handling of bufio.ScanLines. A line has no length
+// limit (fixing the reference parser's 1 MiB cap).
 func (sp *StreamParser) nextLine() (ls, le int, ok bool) {
-	for {
-		if i := bytes.IndexByte(sp.buf[sp.pos:sp.end], '\n'); i >= 0 {
-			ls, le = sp.pos, sp.pos+i
-			sp.pos = le + 1
-		} else if sp.eof {
-			if sp.pos == sp.end {
-				return 0, 0, false
-			}
-			ls, le = sp.pos, sp.end
-			sp.pos = sp.end
-		} else {
-			sp.refill()
-			continue
-		}
-		if le > ls && sp.buf[le-1] == '\r' {
-			le--
-		}
-		sp.line++
-		return ls, le, true
+	ls = sp.pos
+	if ls == len(sp.buf) {
+		return 0, 0, false
 	}
-}
-
-// refill slides the live window (everything from the current record's
-// start) to the front of the buffer, grows it if full, and reads more
-// input. Read errors are deferred until the lines already buffered have
-// been consumed, matching bufio.Scanner.
-func (sp *StreamParser) refill() {
-	if sp.recStart > 0 {
-		n := copy(sp.buf, sp.buf[sp.recStart:sp.end])
-		sp.pos -= sp.recStart
-		sp.end = n
-		sp.recStart = 0
+	if i := bytes.IndexByte(sp.buf[ls:], '\n'); i >= 0 {
+		le = ls + i
+		sp.pos = le + 1
+	} else {
+		le = len(sp.buf)
+		sp.pos = le
 	}
-	if sp.end == len(sp.buf) {
-		grown := make([]byte, 2*len(sp.buf))
-		copy(grown, sp.buf[:sp.end])
-		sp.buf = grown
+	if le > ls && sp.buf[le-1] == '\r' {
+		le--
 	}
-	n, err := sp.r.Read(sp.buf[sp.end:])
-	sp.end += n
-	switch {
-	case err == io.EOF:
-		sp.eof = true
-	case err != nil:
-		sp.eof = true
-		sp.readErr = err
-	case n == 0:
-		if sp.emptyRds++; sp.emptyRds > 100 {
-			sp.eof = true
-			sp.readErr = io.ErrNoProgress
-		}
-	default:
-		sp.emptyRds = 0
-	}
+	sp.line++
+	return ls, le, true
 }
 
 // scanTokens tokenizes one line, appending to sp.toks. It replicates
@@ -347,7 +272,7 @@ scan:
 			}
 			if j < le && b[j] == '"' {
 				// No escapes: the token aliases the input directly.
-				sp.toks = append(sp.toks, tokRef{off: i + 1 - sp.recStart, n: j - i - 1, quoted: true})
+				sp.toks = append(sp.toks, tokRef{off: i + 1, n: j - i - 1, quoted: true})
 				i = j + 1
 				continue
 			}
@@ -370,7 +295,7 @@ scan:
 			for j < le && !special[b[j]] {
 				j++
 			}
-			sp.toks = append(sp.toks, tokRef{off: i - sp.recStart, n: j - i})
+			sp.toks = append(sp.toks, tokRef{off: i, n: j - i})
 			i = j
 		}
 	}
@@ -388,9 +313,13 @@ func (sp *StreamParser) tokBytes(t tokRef) []byte {
 	if t.arena {
 		return sp.arena[t.off : t.off+t.n]
 	}
-	off := sp.recStart + t.off
-	return sp.buf[off : off+t.n]
+	return sp.buf[t.off : t.off+t.n]
 }
+
+// tokString reads a token's bytes as a string in place, without a
+// copy. The string aliases the input, so nothing may keep it past the
+// call it is passed to.
+func tokString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // classicTok reconstructs the reference tokenizer's string form of a
 // token (quoted tokens carry the \x00 marker prefix). Only used on

@@ -13,13 +13,15 @@ import (
 	"ldplayer/internal/dnsmsg"
 )
 
-// Byte-level scalar parsers for the streaming tokenizer. Each one
-// replicates exactly what the reference parser's stdlib call accepts
+// Byte-level scalar parsers for the streaming tokenizer. The TTL,
+// class and type scanners run on every token while decodeRecord works
+// out which token is which, so they neither allocate nor build errors;
+// each replicates exactly what the reference parser's call accepts
 // (including its quirks — fmt.Sscanf's tolerated trailing garbage,
-// parseTTL's uint64 wraparound, netip's leading-zero rules); anything a
-// fast path cannot decide identically falls back to the very stdlib
-// call the reference makes, so accept/reject behavior cannot diverge.
-// TestScalarParserEquivalence drives each pair over large random corpora.
+// parseTTL's uint64 wraparound), and a caller that needs the exact
+// error re-runs the reference's call. TestScalarParserEquivalence drives
+// each pair over large random corpora. Addresses and integer fields need
+// no copy: they go to netip and strconv over the token's bytes.
 
 // ttlFromTok reports the value parseTTL would return for this token,
 // ok=false iff parseTTL would error. Quoted tokens carry the \x00
@@ -151,203 +153,13 @@ func scanPrefixedUint16(b []byte, prefix string) (uint16, bool) {
 	return uint16(v), true
 }
 
-// uintFromTok replicates strconv.ParseUint(s, 10, bits): at least one
-// digit, digits only (no sign, no underscores at base 10), value within
-// bits. Callers that need the exact strconv error on failure re-run the
-// stdlib call on the reference-form token.
-func uintFromTok(b []byte, quoted bool, bits int) (uint64, bool) {
-	if quoted || len(b) == 0 {
-		return 0, false
-	}
-	max := uint64(1)<<bits - 1
-	v := uint64(0)
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if v > max/10 {
-			return 0, false
-		}
-		v = v*10 + uint64(c-'0')
-		if v > max {
-			return 0, false
-		}
-	}
-	return v, true
-}
-
-// parseAddrTok is a []byte port of netip.ParseAddr (the dispatch on the
-// first '.'/':'/'%' byte, parseIPv4Fields, and parseIPv6), returning
-// ok=false wherever netip errors. Zoned IPv6 addresses allocate for the
-// zone string; everything else is allocation-free.
+// parseAddrTok is netip.ParseAddr over the token's bytes, read in
+// place. On success netip keeps nothing of its input (a zone suffix is
+// interned by copy); its error would hold the input, so it is dropped
+// here and callers build their message from classicTok.
 func parseAddrTok(b []byte) (netip.Addr, bool) {
-	for i := 0; i < len(b); i++ {
-		switch b[i] {
-		case '.':
-			var f [4]byte
-			if !parseV4Fields(b, f[:]) {
-				return netip.Addr{}, false
-			}
-			return netip.AddrFrom4(f), true
-		case ':':
-			return parseV6(b)
-		case '%':
-			return netip.Addr{}, false // "missing IPv6 address"
-		}
-	}
-	return netip.Addr{}, false // "unable to parse IP"
-}
-
-// parseV4Fields mirrors netip's parseIPv4Fields: four dot-separated
-// octets, each 0-255, no leading zeros, at least one digit per field.
-func parseV4Fields(s []byte, fields []byte) bool {
-	val, pos, digLen := 0, 0, 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			if digLen == 1 && val == 0 {
-				return false // leading zero
-			}
-			val = val*10 + int(c-'0')
-			digLen++
-			if val > 255 {
-				return false
-			}
-		case c == '.':
-			if i == 0 || i == len(s)-1 || s[i-1] == '.' {
-				return false // empty field
-			}
-			if pos == 3 {
-				return false // too long
-			}
-			fields[pos] = byte(val)
-			pos++
-			val, digLen = 0, 0
-		default:
-			return false
-		}
-	}
-	if pos < 3 {
-		return false // too short
-	}
-	fields[3] = byte(val)
-	return true
-}
-
-// parseV6 mirrors netip's parseIPv6 over bytes, including the embedded
-// IPv4 tail, '::' expansion, and scoped-zone handling.
-func parseV6(in []byte) (netip.Addr, bool) {
-	s := in
-	var zone []byte
-	hasZone := false
-	for i, c := range s {
-		if c == '%' {
-			s, zone = s[:i], s[i+1:]
-			hasZone = true
-			break
-		}
-	}
-	if hasZone && len(zone) == 0 {
-		return netip.Addr{}, false
-	}
-
-	var ip [16]byte
-	ellipsis := -1
-	if len(s) >= 2 && s[0] == ':' && s[1] == ':' {
-		ellipsis = 0
-		s = s[2:]
-		if len(s) == 0 {
-			return withZone(netip.AddrFrom16(ip), zone, hasZone), true
-		}
-	}
-
-	i := 0
-	for i < 16 {
-		off := 0
-		acc := uint32(0)
-		for ; off < len(s); off++ {
-			c := s[off]
-			switch {
-			case c >= '0' && c <= '9':
-				acc = (acc << 4) + uint32(c-'0')
-			case c >= 'a' && c <= 'f':
-				acc = (acc << 4) + uint32(c-'a'+10)
-			case c >= 'A' && c <= 'F':
-				acc = (acc << 4) + uint32(c-'A'+10)
-			default:
-				goto groupDone
-			}
-			if off > 3 || acc > 0xFFFF {
-				return netip.Addr{}, false
-			}
-		}
-	groupDone:
-		if off == 0 {
-			return netip.Addr{}, false // field needs at least one digit
-		}
-		if off < len(s) && s[off] == '.' {
-			// Embedded IPv4 must fill the final 4 bytes.
-			if ellipsis < 0 && i != 12 {
-				return netip.Addr{}, false
-			}
-			if i+4 > 16 {
-				return netip.Addr{}, false
-			}
-			if !parseV4Fields(s, ip[i:i+4]) {
-				return netip.Addr{}, false
-			}
-			s = nil
-			i += 4
-			break
-		}
-		ip[i] = byte(acc >> 8)
-		ip[i+1] = byte(acc)
-		i += 2
-		s = s[off:]
-		if len(s) == 0 {
-			break
-		}
-		if s[0] != ':' || len(s) == 1 {
-			return netip.Addr{}, false
-		}
-		s = s[1:]
-		if s[0] == ':' {
-			if ellipsis >= 0 {
-				return netip.Addr{}, false // multiple ::
-			}
-			ellipsis = i
-			s = s[1:]
-			if len(s) == 0 {
-				break
-			}
-		}
-	}
-	if len(s) != 0 {
-		return netip.Addr{}, false // trailing garbage
-	}
-	if i < 16 {
-		if ellipsis < 0 {
-			return netip.Addr{}, false // too short
-		}
-		n := 16 - i
-		for j := i - 1; j >= ellipsis; j-- {
-			ip[j+n] = ip[j]
-		}
-		for j := ellipsis; j < ellipsis+n; j++ {
-			ip[j] = 0
-		}
-	} else if ellipsis >= 0 {
-		return netip.Addr{}, false // :: must expand to ≥1 zero group
-	}
-	return withZone(netip.AddrFrom16(ip), zone, hasZone), true
-}
-
-func withZone(a netip.Addr, zone []byte, hasZone bool) netip.Addr {
-	if !hasZone {
-		return a
-	}
-	return a.WithZone(string(zone))
+	a, err := netip.ParseAddr(tokString(b))
+	return a, err == nil
 }
 
 // decodeRData fills rec's rdata fields from the tail tokens, with the
@@ -359,14 +171,15 @@ func (sp *StreamParser) decodeRData(rec *Rec, typ dnsmsg.Type, f []tokRef) error
 		}
 		return nil
 	}
-	// number parses a bounded integer field, reproducing the exact
-	// strconv error on failure.
+	// number parses a bounded integer field with strconv, in place: a
+	// strconv error carries a copy of its input. A quoted token takes
+	// the reference's string form, for the exact error.
 	number := func(t tokRef, bits int) (uint64, error) {
-		if v, ok := uintFromTok(sp.tokBytes(t), t.quoted, bits); ok {
-			return v, nil
+		if t.quoted {
+			_, err := strconv.ParseUint(sp.classicTok(t), 10, bits)
+			return 0, err
 		}
-		_, err := strconv.ParseUint(sp.classicTok(t), 10, bits)
-		return 0, err
+		return strconv.ParseUint(tokString(sp.tokBytes(t)), 10, bits)
 	}
 	// ttlField parses a parseTTL-grammar field (SOA timers), again with
 	// the exact reference error on failure.

@@ -182,16 +182,6 @@ func (z *Zone) holds(set *RRSet, d dnsmsg.RData) bool {
 	return false
 }
 
-// AddRRSet inserts every record of a set.
-func (z *Zone) AddRRSet(s *RRSet) error {
-	for _, rr := range s.RRs() {
-		if err := z.Add(rr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Lookup returns the rrset for (name, type) if it exists verbatim.
 func (z *Zone) Lookup(name dnsmsg.Name, t dnsmsg.Type) (*RRSet, bool) {
 	if n := z.nodes[name]; n != nil {

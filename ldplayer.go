@@ -198,8 +198,8 @@ var (
 	ScaleLarge = experiments.Large
 )
 
-// RunExperiment regenerates one table or figure by id ("table1", "fig6"
-// ... "fig15c", "ablation").
+// RunExperiment regenerates one table or figure by id ("table1",
+// "fig6", "ablation", ...; `ldp-experiments -h` lists every id).
 func RunExperiment(id string, sc ExperimentScale) (*ExperimentResult, error) {
 	return experiments.ByID(id, sc)
 }
